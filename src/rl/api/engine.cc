@@ -5,11 +5,9 @@
 #include "rl/api/validate.h"
 
 #include "rl/circuit/compiled_sim.h"
-#include "rl/circuit/sim_sync.h"
 #include "rl/core/generalized.h"
 #include "rl/core/race_grid.h"
 #include "rl/core/race_network.h"
-#include "rl/core/scratch_registry.h"
 #include "rl/core/wavefront.h"
 #include "rl/pangraph/alignment_graph.h"
 #include "rl/pangraph/graph_aligner.h"
@@ -126,6 +124,23 @@ double
 raceWallNs(const tech::CellLibrary &lib, sim::Tick cycles)
 {
     return static_cast<double>(cycles) * lib.racePeriodNs;
+}
+
+/**
+ * Price `est` from a netlist the engine actually raced (the ModelSim
+ * -> PrimeTime stand-in): area from its gate inventory, energy as
+ * measured from its simulated switching activity.
+ */
+void
+priceFromNetlist(const tech::CellLibrary &lib,
+                 const circuit::Netlist &netlist, double energyJ,
+                 HardwareEstimate &est)
+{
+    const auto counts = netlist.typeCounts();
+    est.areaUm2 = lib.areaOfInventory(counts);
+    est.energyJ = energyJ;
+    est.gateCount = netlist.gateCount();
+    est.dffCount = counts[static_cast<size_t>(circuit::GateType::Dff)];
 }
 
 /** True iff the two matrices describe identical edit weights. */
@@ -442,27 +457,14 @@ RaceEngine::raceGridBehavioral(const RaceProblem &problem,
     // even when rejected.
     const bool bounded = screening && cfg.earlyTerminate &&
                          threshold != bio::kScoreInfinity;
-    // One kernel scratch per thread: the batch screening loop (and
-    // every serial solve) reuses the bucket-calendar arena instead of
-    // allocating it per comparison.  The registry entry publishes the
-    // arena's resident bytes so the serving layer's memory budget can
-    // see -- and, via shrinkIdle(), reclaim -- capacity pinned inside
-    // worker threads; the lease keeps shrinkers off a live solve.
-    static thread_local core::RaceGridScratch scratch;
-    static thread_local core::ScratchRegistration scratchReg(
-        [s = &scratch](bool shrink) {
-            if (shrink)
-                s->shrinkToFit();
-            return s->residentBytes();
-        });
-    core::ScratchLease lease(scratchReg.entry());
+    // align() races on this thread's registered kernel scratch, so
+    // the batch screening loop (and every serial solve) reuses one
+    // bucket-calendar arena instead of allocating it per comparison.
     core::RaceGridResult raced = plan.behavioral->align(
         a, b,
         bounded ? static_cast<sim::Tick>(threshold)
                 : sim::kTickInfinity,
-        scratch, problem.cancel, problem.counters);
-    rl_assert(bounded || raced.cancelled || raced.completed,
-              "sink never fired; gap weights should guarantee a path");
+        problem.cancel, problem.counters);
     result.completed = raced.completed;
     result.cancelled = raced.cancelled;
     result.racedCost = raced.score;
@@ -602,18 +604,11 @@ RaceEngine::solveGridFamily(const RaceProblem &problem)
             rl_assert(bounded && !result.accepted,
                       "gate-level race did not complete within budget");
         }
-        if (cfg.withEstimates && result.estimate) {
-            // Priced from the actual synthesized netlist + simulated
-            // switching activity (the ModelSim -> PrimeTime stand-in).
-            auto counts = plan->fabric->netlist().typeCounts();
-            result.estimate->areaUm2 = lib.areaOfInventory(counts);
-            result.estimate->energyJ = tech::energyFromActivityJ(
-                lib, plan->fabric->sim().activity());
-            result.estimate->gateCount =
-                plan->fabric->netlist().gateCount();
-            result.estimate->dffCount =
-                counts[static_cast<size_t>(circuit::GateType::Dff)];
-        }
+        if (cfg.withEstimates && result.estimate)
+            priceFromNetlist(lib, plan->fabric->netlist(),
+                             tech::energyFromActivityJ(
+                                 lib, plan->fabric->sim().activity()),
+                             *result.estimate);
     }
     return result;
 }
@@ -669,15 +664,10 @@ raceDagProblem(const graph::Dag &dag,
                           result.racedCost,
                   "gate-level race disagrees with the event-driven "
                   "model at the sink");
-        if (cfg.withEstimates && result.estimate) {
-            auto counts = compiled.netlist.typeCounts();
-            result.estimate->areaUm2 = lib.areaOfInventory(counts);
-            result.estimate->energyJ =
-                tech::energyFromActivityJ(lib, sim.activity());
-            result.estimate->gateCount = compiled.netlist.gateCount();
-            result.estimate->dffCount =
-                counts[static_cast<size_t>(circuit::GateType::Dff)];
-        }
+        if (cfg.withEstimates && result.estimate)
+            priceFromNetlist(lib, compiled.netlist,
+                             tech::energyFromActivityJ(lib, sim.activity()),
+                             *result.estimate);
     }
 }
 
@@ -878,16 +868,11 @@ RaceEngine::solveGraphAlign(const RaceProblem &problem)
                   "gate-level graph race completed under a "
                   "threshold the behavioral race aborted at");
     }
-    if (cfg.withEstimates && result.estimate) {
-        const tech::CellLibrary &lib = *cfg.library;
-        auto counts = compiled.netlist.typeCounts();
-        result.estimate->areaUm2 = lib.areaOfInventory(counts);
-        result.estimate->energyJ =
-            tech::energyFromActivityJ(lib, sim.activity());
-        result.estimate->gateCount = compiled.netlist.gateCount();
-        result.estimate->dffCount =
-            counts[static_cast<size_t>(circuit::GateType::Dff)];
-    }
+    if (cfg.withEstimates && result.estimate)
+        priceFromNetlist(*cfg.library, compiled.netlist,
+                         tech::energyFromActivityJ(*cfg.library,
+                                                   sim.activity()),
+                         *result.estimate);
     return result;
 }
 
@@ -1018,7 +1003,6 @@ RaceEngine::raceBatchGateLevel(
 
         const double chunkEnergyJ =
             tech::energyFromActivityJ(lib, raced.activity);
-        const auto counts = plan.fabric->netlist().typeCounts();
         for (size_t k = 0; k < chunk.indices.size(); ++k) {
             const size_t idx = chunk.indices[k];
             const RaceProblem &p = problems[idx];
@@ -1046,18 +1030,13 @@ RaceEngine::raceBatchGateLevel(
                           "gate-level lane race did not complete "
                           "within budget");
             }
-            if (soft.estimate) {
-                // Priced from the measured chunk activity: the
-                // lock-step word's Eq. 3 energy, averaged per lane
-                // (lanes share one fabric compile and clock).
-                soft.estimate->areaUm2 = lib.areaOfInventory(counts);
-                soft.estimate->energyJ =
-                    chunkEnergyJ / static_cast<double>(lanes.size());
-                soft.estimate->gateCount =
-                    plan.fabric->netlist().gateCount();
-                soft.estimate->dffCount = counts[static_cast<size_t>(
-                    circuit::GateType::Dff)];
-            }
+            // The lock-step word's Eq. 3 energy, averaged per lane
+            // (lanes share one fabric compile and clock).
+            if (soft.estimate)
+                priceFromNetlist(
+                    lib, plan.fabric->netlist(),
+                    chunkEnergyJ / static_cast<double>(lanes.size()),
+                    *soft.estimate);
         }
     };
 

@@ -287,17 +287,17 @@ class RaceEngine
 
     /**
      * The Behavioral race of one grid-family problem on an acquired
-     * plan.  const and allocation-local: this is the body the thread
-     * pool runs concurrently, and also the first stage of the serial
-     * GateLevel solve.
+     * plan.  const, racing on a per-thread kernel scratch: this is
+     * the body the thread pool runs concurrently, and also the first
+     * stage of the serial GateLevel solve.
      */
     RaceResult raceGridBehavioral(const RaceProblem &problem,
                                   const Plan &plan) const;
 
     /**
      * The Behavioral race of one GraphAlign problem on an acquired
-     * plan (the cached pangraph::GraphAligner); const and
-     * allocation-local for the same parallel-batch reason.
+     * plan (the cached pangraph::GraphAligner); const and on a
+     * per-thread scratch for the same parallel-batch reason.
      * `product` shares an already-built product DAG (the GateLevel
      * path builds it once for both the race and synthesis); null
      * races the fused kernel -- no product DAG is materialized on

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "rl/api/engine.h"
 #include "rl/util/logging.h"
 
 namespace racelogic::apps {
@@ -66,21 +65,6 @@ makeDtwGraph(const std::vector<Sample> &x, const std::vector<Sample> &y)
         }
     }
     return g;
-}
-
-DtwRaceResult
-raceDtw(const std::vector<Sample> &x, const std::vector<Sample> &y)
-{
-    api::EngineConfig config;
-    config.withEstimates = false;
-    api::RaceEngine engine(config);
-    api::RaceResult raced = engine.solve(api::RaceProblem::dtw(x, y));
-
-    DtwRaceResult result;
-    result.distance = static_cast<int64_t>(raced.score);
-    result.latencyCycles = raced.latencyCycles;
-    result.events = raced.events;
-    return result;
 }
 
 std::vector<Sample>

@@ -5,21 +5,21 @@
  * A deployed accelerator would instantiate several N x M fabrics and
  * stream database candidates across them ("move on to the next
  * pattern", Section 6).  This module models that system layer: a
- * greedy dispatcher assigns each comparison to the earliest-free
- * fabric; each comparison occupies its fabric for its race time
- * (bounded by the Section 6 threshold when one is set) plus a reset
- * cycle.  The report carries makespan, utilization, and accept
- * verdicts, and prices wall time against a technology model.
+ * greedy dispatcher assigns each already-raced comparison to the
+ * earliest-free fabric; each comparison occupies its fabric for its
+ * race time (bounded by its Section 6 threshold) plus a reset cycle.
+ * The report carries makespan, utilization, and accept verdicts, and
+ * prices wall time against a technology model.  The races themselves
+ * run in api::RaceEngine::solveBatch, which schedules its results
+ * here.
  */
 
 #ifndef RACELOGIC_CORE_BATCH_H
 #define RACELOGIC_CORE_BATCH_H
 
+#include <cstdint>
 #include <vector>
 
-#include "rl/bio/score_matrix.h"
-#include "rl/bio/sequence.h"
-#include "rl/core/race_grid.h"
 #include "rl/tech/cell_library.h"
 
 namespace racelogic::core {
@@ -29,9 +29,6 @@ struct BatchConfig {
     /** Parallel fabrics instantiated. */
     size_t fabricCount = 4;
 
-    /** Early-termination threshold; kScoreInfinity disables it. */
-    bio::Score threshold = bio::kScoreInfinity;
-
     /** Cycles to reset a fabric between comparisons. */
     uint64_t resetCycles = 1;
 };
@@ -40,7 +37,7 @@ struct BatchConfig {
 struct BatchReport {
     size_t comparisons = 0;
     size_t acceptedCount = 0;
-    std::vector<bool> accepted; ///< verdict per candidate (threshold on)
+    std::vector<bool> accepted; ///< verdict per comparison
 
     /** Cycle at which the last fabric goes idle. */
     uint64_t makespanCycles = 0;
@@ -76,31 +73,11 @@ struct ScreenedComparison {
 };
 
 /**
- * Greedy list scheduling of precomputed comparisons onto the fabric
- * pool (each goes to the fabric that frees up first).  This is the
- * dispatcher BatchScreeningEngine uses after racing; callers that
- * have already raced their comparisons (api::RaceEngine::solveBatch)
- * schedule here directly without racing twice.
+ * Greedy list scheduling of already-raced comparisons onto the
+ * fabric pool (each goes to the fabric that frees up first).
  */
 BatchReport scheduleBatch(const BatchConfig &config,
                           const std::vector<ScreenedComparison> &runs);
-
-/** A pool of behavioral race fabrics with a greedy dispatcher. */
-class BatchScreeningEngine
-{
-  public:
-    BatchScreeningEngine(bio::ScoreMatrix costs, BatchConfig config);
-
-    /** Screen every candidate against `query`. */
-    BatchReport run(const bio::Sequence &query,
-                    const std::vector<bio::Sequence> &database) const;
-
-    const BatchConfig &config() const { return cfg; }
-
-  private:
-    RaceGridAligner racer;
-    BatchConfig cfg;
-};
 
 } // namespace racelogic::core
 

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "rl/core/scratch_registry.h"
 #include "rl/core/wavefront.h"
 #include "rl/util/logging.h"
 #include "rl/util/strings.h"
@@ -96,21 +97,12 @@ RaceGridAligner::RaceGridAligner(bio::ScoreMatrix matrix)
 }
 
 RaceGridResult
-RaceGridAligner::align(const bio::Sequence &a,
-                       const bio::Sequence &b) const
-{
-    RaceGridResult result =
-        raceEditGrid(a, b, costMatrix, sim::kTickInfinity);
-    rl_assert(result.completed,
-              "sink never fired; gap weights should guarantee a path");
-    return result;
-}
-
-RaceGridResult
 RaceGridAligner::align(const bio::Sequence &a, const bio::Sequence &b,
-                       sim::Tick horizon) const
+                       sim::Tick horizon, const CancelToken *cancel,
+                       KernelCounters *counters) const
 {
-    return raceEditGrid(a, b, costMatrix, horizon);
+    ThreadScratch<RaceGridScratch> scratch;
+    return align(a, b, horizon, scratch.get(), cancel, counters);
 }
 
 RaceGridResult
@@ -119,8 +111,12 @@ RaceGridAligner::align(const bio::Sequence &a, const bio::Sequence &b,
                        const CancelToken *cancel,
                        KernelCounters *counters) const
 {
-    return raceEditGrid(a, b, costMatrix, horizon, scratch, cancel,
-                        counters);
+    RaceGridResult result = raceEditGrid(a, b, costMatrix, horizon,
+                                         scratch, cancel, counters);
+    rl_assert(horizon != sim::kTickInfinity || result.cancelled ||
+                  result.completed,
+              "sink never fired; gap weights should guarantee a path");
+    return result;
 }
 
 } // namespace racelogic::core

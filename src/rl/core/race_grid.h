@@ -109,29 +109,30 @@ class RaceGridAligner
   public:
     explicit RaceGridAligner(bio::ScoreMatrix matrix);
 
-    /** Race the two sequences; fatal() on alphabet mismatch. */
-    RaceGridResult align(const bio::Sequence &a,
-                         const bio::Sequence &b) const;
-
     /**
-     * Race with a Section 6 early-termination horizon: the race stops
-     * at cycle `horizon` instead of draining the grid.  If the sink
-     * has not fired by then, result.completed is false, score is
-     * kScoreInfinity, and latencyCycles is the horizon -- the exact
-     * behavior of the hardware abort counter.  align() is const and
-     * allocation-local, so one aligner can race from many threads.
+     * Race the two sequences on this thread's registered kernel
+     * scratch (rl/core/scratch_registry.h); const and thread-safe.
+     * fatal() on alphabet mismatch.
+     *
+     * @param horizon  Section 6 early termination: the race stops at
+     *                 cycle `horizon` instead of draining the grid.
+     *                 If the sink has not fired by then,
+     *                 result.completed is false, score is
+     *                 kScoreInfinity, and latencyCycles is the
+     *                 horizon -- the hardware abort counter.
+     * @param cancel   nullptr = never; aborts the sweep cooperatively
+     *                 at clock-cycle granularity (see raceEditGrid).
+     * @param counters nullptr = off; accumulates the kernel's
+     *                 profiling counts without changing the result.
      */
     RaceGridResult align(const bio::Sequence &a, const bio::Sequence &b,
-                         sim::Tick horizon) const;
+                         sim::Tick horizon = sim::kTickInfinity,
+                         const CancelToken *cancel = nullptr,
+                         KernelCounters *counters = nullptr) const;
 
     /**
-     * Scratch-reuse overload for tight screening loops: the kernel's
-     * bucket calendar lives in the caller's RaceGridScratch (one per
-     * thread), so repeated aligns stop allocating calendar storage.
-     * `cancel` (nullptr = never) aborts the sweep cooperatively at
-     * clock-cycle granularity (see raceEditGrid).  `counters`
-     * (nullptr = off) accumulates the kernel's profiling counts
-     * without changing the raced result.
+     * The same race on the caller's scratch (one per thread), for
+     * loops that own their kernel storage.
      */
     RaceGridResult align(const bio::Sequence &a, const bio::Sequence &b,
                          sim::Tick horizon, RaceGridScratch &scratch,

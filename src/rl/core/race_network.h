@@ -20,9 +20,10 @@
  *    and as the fallback for out-of-range delays.
  *
  *  - compileRaceCircuit(): an actual gate-level netlist (OR/AND
- *    gates + DFF delay chains) runnable on circuit::SyncSim.  This
- *    is the synthesizable artifact; the event backend and the DP
- *    oracle validate it.
+ *    gates + DFF delay chains) runnable on circuit::CompiledSim (the
+ *    engine's gate-level backend) or the reference circuit::SyncSim.
+ *    This is the synthesizable artifact; the event backend and the
+ *    DP oracle validate it.
  */
 
 #ifndef RACELOGIC_CORE_RACE_NETWORK_H
@@ -126,8 +127,9 @@ struct RaceCircuit {
  * w-deep DFF chain (weight 0 = plain wire).
  *
  * fatal() on negative weights or cyclic graphs.  Run by driving
- * sourceInputs high at cycle 0 and stepping SyncSim until the sink's
- * nodeNets entry rises; the cycle number is the path score.
+ * sourceInputs high at cycle 0 and stepping a gate-level simulator
+ * (circuit::CompiledSim::runUntil) until the sink's nodeNets entry
+ * rises; the cycle number is the path score.
  */
 RaceCircuit compileRaceCircuit(const graph::Dag &dag,
                                const std::vector<graph::NodeId> &sources,

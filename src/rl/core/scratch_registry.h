@@ -133,6 +133,45 @@ class ScratchRegistration
 };
 
 /**
+ * This thread's registered arena of one scratch type, leased for the
+ * handle's lifetime: the `static thread_local` arena +
+ * ScratchRegistration + ScratchLease idiom, written once for every
+ * kernel that keeps a per-thread scratch.  `Scratch` provides
+ * shrinkToFit() and residentBytes().
+ */
+template <class Scratch>
+class ThreadScratch
+{
+  public:
+    ThreadScratch() : lease(registration().entry()) {}
+
+    Scratch &get() { return arena(); }
+
+  private:
+    static Scratch &
+    arena()
+    {
+        static thread_local Scratch scratch;
+        return scratch;
+    }
+
+    /** Constructed after the arena it probes, so destroyed first. */
+    static ScratchRegistration &
+    registration()
+    {
+        static thread_local ScratchRegistration reg(
+            [s = &arena()](bool shrink) {
+                if (shrink)
+                    s->shrinkToFit();
+                return s->residentBytes();
+            });
+        return reg;
+    }
+
+    ScratchLease lease;
+};
+
+/**
  * The process-wide registry.  registerEntry() is called once per
  * (thread, scratch site); snapshots and shrinks walk the entry list
  * under the registry mutex but touch each arena only via try_lock.

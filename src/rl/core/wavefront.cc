@@ -103,14 +103,6 @@ WavefrontRaceKernel::race(const std::vector<graph::NodeId> &sources,
 
 RaceGridResult
 raceEditGrid(const bio::Sequence &a, const bio::Sequence &b,
-             const bio::ScoreMatrix &costs, sim::Tick horizon)
-{
-    RaceGridScratch scratch;
-    return raceEditGrid(a, b, costs, horizon, scratch);
-}
-
-RaceGridResult
-raceEditGrid(const bio::Sequence &a, const bio::Sequence &b,
              const bio::ScoreMatrix &costs, sim::Tick horizon,
              RaceGridScratch &scratch, const CancelToken *cancel,
              KernelCounters *counters)

@@ -36,8 +36,7 @@
  * -- firing times *and* event counts -- are bit-identical; the
  * equivalence suite in tests/core_wavefront_test.cc checks them
  * against each other and against the DP oracle.  sim::EventQueue
- * remains the substrate of the gate-level synchronous simulator,
- * which genuinely needs timestamped callbacks.
+ * survives only under that reference, raceDagEventDriven().
  */
 
 #ifndef RACELOGIC_CORE_WAVEFRONT_H
@@ -271,7 +270,9 @@ struct RaceGridScratch {
 
 /**
  * Bucket-wavefront OR-type race of the edit graph of (a, b) under a
- * race-ready cost matrix, without materializing the graph.
+ * race-ready cost matrix, without materializing the graph.  The
+ * bucket calendar lives in (and keeps the capacity of) the caller's
+ * scratch.
  *
  * Semantically identical to racing makeEditGraph(a, b, costs) with
  * raceDag(..., RaceType::Or, horizon): same arrival grid (filled for
@@ -279,18 +280,6 @@ struct RaceGridScratch {
  * sink score.  `completed` is false iff the sink had not fired by the
  * horizon, in which case score is bio::kScoreInfinity and
  * latencyCycles is the horizon (the cycle the abort counter tripped).
- *
- * fatal() on alphabet mismatch; requires a Cost-kind matrix with all
- * finite weights >= 1 (checked by RaceGridAligner's constructor).
- */
-RaceGridResult raceEditGrid(const bio::Sequence &a,
-                            const bio::Sequence &b,
-                            const bio::ScoreMatrix &costs,
-                            sim::Tick horizon = sim::kTickInfinity);
-
-/**
- * Scratch-reuse overload: identical outcome, but the bucket calendar
- * lives in (and keeps the capacity of) the caller's scratch.
  *
  * `cancel` (nullptr = never) is polled once per simulated clock
  * cycle; a cancelled race comes back completed = false with
@@ -302,6 +291,9 @@ RaceGridResult raceEditGrid(const bio::Sequence &a,
  * the sweep tracks anyway -- events drained, buckets swept, arena
  * high-water, cells fired, cancel/horizon aborts.  It is touched only
  * after the drain, so the raced result is bit-identical either way.
+ *
+ * fatal() on alphabet mismatch; requires a Cost-kind matrix with all
+ * finite weights >= 1 (checked by RaceGridAligner's constructor).
  */
 RaceGridResult raceEditGrid(const bio::Sequence &a,
                             const bio::Sequence &b,

@@ -9,14 +9,6 @@ namespace racelogic::pangraph {
 
 GraphRaceResult
 raceAlignmentGrid(const CompiledGraph &compiled, const bio::Sequence &read,
-                  const bio::ScoreMatrix &costs, sim::Tick horizon)
-{
-    GraphAlignScratch scratch;
-    return raceAlignmentGrid(compiled, read, costs, horizon, scratch);
-}
-
-GraphRaceResult
-raceAlignmentGrid(const CompiledGraph &compiled, const bio::Sequence &read,
                   const bio::ScoreMatrix &costs, sim::Tick horizon,
                   GraphAlignScratch &scratch,
                   const core::CancelToken *cancel,

@@ -124,28 +124,14 @@ struct GraphAlignScratch {
 /**
  * Bucket-wavefront OR-type race of `read` against a compiled graph
  * under the race-ready cost matrix it was compiled with, without
- * materializing the product DAG.
+ * materializing the product DAG.  The calendar and hoisted weight
+ * rows live in (and keep the capacity of) the caller's scratch.
  *
  * Semantically identical to racing buildAlignmentGraph(compiled,
  * read, costs) on core::WavefrontRaceKernel with the same horizon:
  * same arrival vector, same event count, same sink score.  Section 6
  * horizon aborts behave identically too (completed = false, score
  * kScoreInfinity, latencyCycles = horizon).
- *
- * `costs` must be the matrix `compiled` was bound to (GraphAligner
- * guarantees this); requires Cost kind with all finite weights >= 1
- * (checked at plan time).  GraphRaceResult::score is left at the
- * raced cost -- the aligner applies the Section 5 recovery.
- */
-GraphRaceResult raceAlignmentGrid(const CompiledGraph &compiled,
-                                  const bio::Sequence &read,
-                                  const bio::ScoreMatrix &costs,
-                                  sim::Tick horizon = sim::kTickInfinity);
-
-/**
- * Scratch-reuse overload: identical outcome, but the calendar and
- * hoisted weight rows live in (and keep the capacity of) the
- * caller's scratch.
  *
  * `cancel` (nullptr = never) is polled once per simulated clock
  * cycle; a cancelled race comes back completed = false with
@@ -156,6 +142,11 @@ GraphRaceResult raceAlignmentGrid(const CompiledGraph &compiled,
  * counts -- events drained, buckets swept, arena high-water, states
  * fired, cancel/horizon aborts.  It is touched only after the drain,
  * so the raced result is bit-identical either way.
+ *
+ * `costs` must be the matrix `compiled` was bound to (GraphAligner
+ * guarantees this); requires Cost kind with all finite weights >= 1
+ * (checked at plan time).  GraphRaceResult::score is left at the
+ * raced cost -- the aligner applies the Section 5 recovery.
  */
 GraphRaceResult raceAlignmentGrid(const CompiledGraph &compiled,
                                   const bio::Sequence &read,

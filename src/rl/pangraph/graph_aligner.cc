@@ -94,20 +94,11 @@ GraphAligner::align(const bio::Sequence &read, sim::Tick horizon,
                     core::KernelCounters *counters) const
 {
     // One kernel scratch per thread: align() stays const and
-    // thread-safe (the scratch is live only within this call), and
-    // repeated aligns stop re-allocating the calendar arena.  The
-    // registry entry publishes resident bytes for the serving memory
-    // budget and lets its janitor shrink an idle worker's arena; the
-    // lease keeps shrinkers off a live solve.
-    static thread_local GraphAlignScratch scratch;
-    static thread_local core::ScratchRegistration scratchReg(
-        [s = &scratch](bool shrink) {
-            if (shrink)
-                s->shrinkToFit();
-            return s->residentBytes();
-        });
-    core::ScratchLease lease(scratchReg.entry());
-    return align(read, horizon, scratch, cancel, counters);
+    // thread-safe, and repeated aligns stop re-allocating the
+    // calendar arena.  The registered arena is visible to (and
+    // shrinkable by) the serving memory budget between solves.
+    core::ThreadScratch<GraphAlignScratch> scratch;
+    return align(read, horizon, scratch.get(), cancel, counters);
 }
 
 GraphRaceResult

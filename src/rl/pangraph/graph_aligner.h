@@ -8,10 +8,10 @@
  * the character-level view once.  align() then races the read
  * against the compiled CSRs on the fused wavefront kernel
  * (rl/pangraph/graph_align_kernel.h) -- no product DAG is ever
- * materialized on this path -- const and allocation-local, so one
- * aligner serves many reads concurrently (the api engine races read
- * batches on its thread pool against a single cached aligner, one
- * scratch per thread).  The align(AlignmentGraph) overload races a
+ * materialized on this path -- const, on one kernel scratch per
+ * thread, so one aligner serves many reads concurrently (the api
+ * engine races read batches on its thread pool against a single
+ * cached aligner).  The align(AlignmentGraph) overload races a
  * materialized product on core::WavefrontRaceKernel instead; it is
  * the bit-identical reference and the gate-level synthesis input.
  *
@@ -73,7 +73,8 @@ class GraphAligner
 
     /**
      * Race `read` against the graph on the fused kernel (no product
-     * DAG); const and thread-safe.
+     * DAG) on this thread's registered kernel scratch
+     * (rl/core/scratch_registry.h); const and thread-safe.
      *
      * @param horizon  Section 6 early termination in race cycles:
      *                 if the sink has not fired by `horizon`, the

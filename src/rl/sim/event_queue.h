@@ -3,10 +3,12 @@
  * Tick-based discrete-event simulation kernel.
  *
  * Race Logic is fundamentally about *when* signals arrive, so the
- * natural simulation substrate is discrete-event: the event-driven
- * race-network solver and the asynchronous variants schedule arrival
- * events on this queue, while the synchronous gate-level simulator
- * uses it for clock-edge sequencing.
+ * natural simulation substrate is discrete-event.  The queue's one
+ * user is the heap-scheduled reference race,
+ * core::raceDagEventDriven(); the production kernels race on the
+ * bucket calendar (rl/core/wavefront.h), and the gate-level
+ * simulators (circuit::SyncSim, circuit::CompiledSim) step clock
+ * cycles directly.
  *
  * Ticks are dimensionless; in synchronous Race Logic one tick is one
  * clock cycle, and the technology model (rl/tech) converts cycles to

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the unified racelogic::api facade: every problem kind
- * solved through one RaceEngine matches the legacy entry points and
- * the DP oracles, and the Behavioral / GateLevel backends agree
- * through the one API.
+ * solved through one RaceEngine matches its DP oracle, the
+ * Behavioral / GateLevel backends agree through the one API, and the
+ * gate-level estimates are priced from the synthesized netlist.
  */
 
 #include <gtest/gtest.h>
@@ -11,12 +11,16 @@
 #include "rl/api/api.h"
 #include "rl/bio/affine.h"
 #include "rl/bio/align_dp.h"
-#include "rl/core/affine_race.h"
+#include "rl/circuit/compiled_sim.h"
 #include "rl/core/generalized.h"
-#include "rl/core/race_aligner.h"
-#include "rl/core/threshold.h"
+#include "rl/core/race_network.h"
 #include "rl/graph/generate.h"
 #include "rl/graph/paths.h"
+#include "rl/pangraph/alignment_graph.h"
+#include "rl/pangraph/generate.h"
+#include "rl/pangraph/graph_align_dp.h"
+#include "rl/pangraph/graph_aligner.h"
+#include "rl/tech/energy_model.h"
 #include "rl/util/random.h"
 
 namespace {
@@ -52,46 +56,54 @@ configFor(BackendKind backend)
     return config;
 }
 
-// ------------------------------------------------ legacy equivalence
+// ------------------------------------------------------ DP oracles
 
-TEST(ApiEngine, PairwiseMatchesLegacyRaceAlignerOnCosts)
+TEST(ApiEngine, PairwiseMatchesDpTableOnCosts)
 {
+    // The arrival grid IS the DP table: every cell fires at its
+    // optimal prefix cost (Fig. 4c).
     ScoreMatrix costs = ScoreMatrix::dnaShortestPathInfMismatch();
-    core::RaceAligner legacy(costs);
     RaceEngine engine;
 
     util::Rng rng(11);
     for (int round = 0; round < 6; ++round) {
         Sequence a = Sequence::random(rng, Alphabet::dna(), 9);
         Sequence b = Sequence::random(rng, Alphabet::dna(), 12);
-        core::AlignOutcome want = legacy.align(a, b);
         RaceResult got = engine.solve(
             RaceProblem::pairwiseAlignment(costs, a, b));
-        EXPECT_EQ(got.score, want.score);
-        EXPECT_EQ(got.racedCost, want.racedCost);
-        EXPECT_EQ(got.latencyCycles, want.latencyCycles);
-        EXPECT_EQ(got.cellsFired, want.detail.cellsFired);
-        EXPECT_EQ(got.arrival.flat(), want.detail.arrival.flat());
+        util::Grid<bio::Score> table = bio::dpTable(a, b, costs);
+        EXPECT_EQ(got.score, bio::globalScore(a, b, costs));
+        EXPECT_EQ(got.racedCost, got.score);
+        EXPECT_EQ(got.latencyCycles, static_cast<sim::Tick>(got.score));
+        size_t finite = 0;
+        for (size_t i = 0; i <= a.size(); ++i) {
+            for (size_t j = 0; j <= b.size(); ++j) {
+                bio::Score want = table.at(i, j);
+                finite += want != bio::kScoreInfinity;
+                EXPECT_EQ(got.arrival.at(i, j),
+                          want == bio::kScoreInfinity
+                              ? sim::kTickInfinity
+                              : static_cast<sim::Tick>(want));
+            }
+        }
+        EXPECT_EQ(got.cellsFired, finite);
     }
 }
 
-TEST(ApiEngine, PairwiseSimilarityAutoConvertsLikeLegacy)
+TEST(ApiEngine, PairwiseSimilarityAutoConvertsToDpScore)
 {
+    // Section 5: the race runs on the converted cost matrix and the
+    // score comes back in the similarity semantics.
     ScoreMatrix blosum = ScoreMatrix::blosum62();
-    core::RaceAligner legacy(blosum);
     RaceEngine engine;
 
     Sequence a = protein("HEAGAWGHEE");
     Sequence b = protein("PAWHEAE");
-    core::AlignOutcome want = legacy.align(a, b);
     RaceResult got =
         engine.solve(RaceProblem::pairwiseAlignment(blosum, a, b));
-    EXPECT_EQ(got.score, want.score);
-    EXPECT_EQ(got.racedCost, want.racedCost);
-
-    // And the DP oracle agrees in the original similarity semantics.
-    bio::Alignment dp = bio::globalAlign(a, b, blosum);
-    EXPECT_EQ(got.score, dp.score);
+    EXPECT_EQ(got.score, bio::globalAlign(a, b, blosum).score);
+    EXPECT_EQ(got.racedCost,
+              bio::globalScore(a, b, bio::toShortestPathForm(blosum).costs));
 }
 
 TEST(ApiEngine, DtwMatchesReferenceDp)
@@ -125,21 +137,47 @@ TEST(ApiEngine, DagPathMatchesLegacySolveDag)
     }
 }
 
-TEST(ApiEngine, AffineMatchesLegacyRaceAffineAndGotohDp)
+TEST(ApiEngine, AffineMatchesGotohDp)
 {
     ScoreMatrix costs = ScoreMatrix::dnaShortestPath();
     bio::AffineGapCosts gaps{3, 1};
     Sequence a = dna("ACTGAGA");
     Sequence b = dna("AGA");
 
-    core::AffineRaceResult legacy = core::raceAffine(a, b, costs, gaps);
     RaceEngine engine;
     RaceResult got = engine.solve(
         RaceProblem::affineAlignment(costs, gaps, a, b));
-    EXPECT_EQ(got.score, legacy.score);
-    EXPECT_EQ(got.latencyCycles, legacy.latencyCycles);
-    EXPECT_EQ(got.nodes, legacy.nodes);
     EXPECT_EQ(got.score, bio::affineGlobalScore(a, b, costs, gaps));
+    EXPECT_EQ(got.latencyCycles, static_cast<sim::Tick>(got.score));
+    EXPECT_EQ(got.nodes,
+              bio::makeAffineEditGraph(a, b, costs, gaps).dag.nodeCount());
+}
+
+TEST(ApiEngine, AffineRejectsBadGapsAndSimilarityWithTypedErrors)
+{
+    RaceEngine engine;
+    RaceProblem zeroExtend = RaceProblem::affineAlignment(
+        ScoreMatrix::dnaShortestPath(), bio::AffineGapCosts{2, 0},
+        dna("ACTG"), dna("AG"));
+    auto gaps = engine.trySolve(zeroExtend);
+    ASSERT_FALSE(gaps.ok());
+    EXPECT_EQ(gaps.status().code(), ErrorCode::InvalidArgument);
+    EXPECT_NE(gaps.status().message().find("open >= extend >= 1"),
+              std::string::npos);
+
+    // The factory refuses a similarity matrix outright; a problem
+    // assembled field by field (as a wire decoder does) must come
+    // back typed instead of reaching the race.
+    RaceProblem similarity = RaceProblem::affineAlignment(
+        ScoreMatrix::dnaShortestPath(), bio::AffineGapCosts{3, 1},
+        dna("ACTG"), dna("AG"));
+    similarity.matrix = ScoreMatrix::dnaLongestPath();
+    auto kind = engine.trySolve(similarity);
+    ASSERT_FALSE(kind.ok());
+    EXPECT_EQ(kind.status().code(), ErrorCode::InvalidArgument);
+    EXPECT_NE(kind.status().message().find("Cost-kind"),
+              std::string::npos);
+    EXPECT_EQ(engine.stats().solves, 0u);
 }
 
 TEST(ApiEngine, GeneralizedMatchesLegacyGeneralizedAligner)
@@ -158,8 +196,10 @@ TEST(ApiEngine, GeneralizedMatchesLegacyGeneralizedAligner)
     EXPECT_EQ(got.latencyCycles, want.latencyCycles);
 }
 
-TEST(ApiEngine, ThresholdScreenMatchesLegacyScreener)
+TEST(ApiEngine, ThresholdScreenMatchesDpFilter)
 {
+    // Aborting at the threshold never misclassifies: arrival times
+    // are monotone, so "sink not fired by T" == "score > T".
     ScoreMatrix costs = ScoreMatrix::dnaShortestPathInfMismatch();
     util::Rng rng(2014);
     auto workload = bio::makeScreeningWorkload(
@@ -167,18 +207,23 @@ TEST(ApiEngine, ThresholdScreenMatchesLegacyScreener)
         bio::MutationModel{0.05, 0.02, 0.02});
     bio::Score threshold = 32;
 
-    core::ThresholdScreener screener(costs, threshold);
     RaceEngine engine;
+    size_t accepted = 0;
     for (const Sequence &candidate : workload.database) {
-        core::ScreenOutcome want =
-            screener.screen(workload.query, candidate);
+        const bio::Score truth =
+            bio::globalScore(workload.query, candidate, costs);
+        const bool similar = truth <= threshold;
+        accepted += similar;
         RaceResult got = engine.solve(RaceProblem::thresholdScreen(
             costs, threshold, workload.query, candidate));
-        EXPECT_EQ(got.accepted, want.similar);
-        EXPECT_EQ(got.score, want.score);
-        EXPECT_EQ(got.cyclesUsed, want.cyclesUsed);
-        EXPECT_EQ(got.completed, want.similar);
+        EXPECT_EQ(got.accepted, similar);
+        EXPECT_EQ(got.completed, similar);
+        EXPECT_EQ(got.score, similar ? truth : bio::kScoreInfinity);
+        EXPECT_EQ(got.cyclesUsed,
+                  static_cast<sim::Tick>(std::min(truth, threshold)));
     }
+    EXPECT_GT(accepted, 0u);
+    EXPECT_LT(accepted, workload.database.size());
 }
 
 // --------------------------------------- backend agreement (6 kinds)
@@ -408,6 +453,156 @@ TEST(ApiEngine, EstimatesAreAttachedAndPlausible)
     EXPECT_GT(r.estimate->energyJ, 0.0);
     EXPECT_FALSE(r.describe().empty());
     EXPECT_FALSE(r.arrivalTable().empty());
+}
+
+// ------------------------------------------------ gate-level pricing
+//
+// On the GateLevel backend every estimate field except wall time is
+// priced from the netlist the engine actually raced: area from its
+// gate inventory, energy from its measured switching activity (the
+// ModelSim -> PrimeTime stand-in).  These tests rebuild each netlist
+// independently -- GeneralizedGridCircuit for grids,
+// compileRaceCircuit for lattices and graph products -- and pin the
+// figures exactly.
+
+/** Expect `est` to be priced from `netlist` with energy `energyJ`. */
+void
+expectPricedFrom(const api::HardwareEstimate &est,
+                 const circuit::Netlist &netlist, double energyJ)
+{
+    const tech::CellLibrary &lib = tech::CellLibrary::amis();
+    const auto counts = netlist.typeCounts();
+    ASSERT_GT(netlist.gateCount(), 0u);
+    ASSERT_GT(energyJ, 0.0);
+    EXPECT_EQ(est.areaUm2, lib.areaOfInventory(counts));
+    EXPECT_EQ(est.energyJ, energyJ);
+    EXPECT_EQ(est.gateCount, netlist.gateCount());
+    EXPECT_EQ(est.dffCount,
+              counts[static_cast<size_t>(circuit::GateType::Dff)]);
+}
+
+/**
+ * Replay a compiled race circuit from its sources, expect the sink to
+ * rise at cycle `expected` (the DP oracle), and return the energy of
+ * the switching activity the engine's run budget (expected + 4)
+ * covers.
+ */
+double
+replayLatticeEnergy(const core::RaceCircuit &compiled, graph::NodeId sink,
+                    bio::Score expected)
+{
+    circuit::CompiledSim sim(compiled.netlist);
+    for (circuit::NetId input : compiled.sourceInputs)
+        sim.setInput(input, true);
+    auto arrival = sim.runUntil(compiled.nodeNets[sink], true,
+                                static_cast<uint64_t>(expected) + 4);
+    EXPECT_EQ(arrival, std::optional<uint64_t>(expected));
+    return tech::energyFromActivityJ(tech::CellLibrary::amis(),
+                                     sim.activity());
+}
+
+TEST(GateLevelPricing, PairwiseIsPricedFromTheSynthesizedFabric)
+{
+    ScoreMatrix costs = ScoreMatrix::dnaShortestPath();
+    Sequence a = dna("GATTACA");
+    Sequence b = dna("GCATGC");
+    RaceEngine engine(configFor(BackendKind::GateLevel));
+    RaceResult got =
+        engine.solve(RaceProblem::pairwiseAlignment(costs, a, b));
+    ASSERT_TRUE(got.estimate.has_value());
+
+    core::GeneralizedGridCircuit fabric(costs, a.size(), b.size(),
+                                        EngineConfig{}.encoding);
+    fabric.sim().clearActivity();
+    core::CircuitRunResult run = fabric.align(a, b, 0);
+    ASSERT_TRUE(run.completed);
+    EXPECT_EQ(run.score, bio::globalScore(a, b, costs));
+    expectPricedFrom(*got.estimate, fabric.netlist(),
+                     tech::energyFromActivityJ(tech::CellLibrary::amis(),
+                                               fabric.sim().activity()));
+}
+
+TEST(GateLevelPricing, DtwIsPricedFromTheCompiledLattice)
+{
+    std::vector<apps::Sample> x{3, 5, 8, 6, 2};
+    std::vector<apps::Sample> y{3, 6, 7, 2};
+    RaceEngine engine(configFor(BackendKind::GateLevel));
+    RaceResult got = engine.solve(RaceProblem::dtw(x, y));
+    ASSERT_TRUE(got.estimate.has_value());
+
+    apps::DtwGraph lattice = apps::makeDtwGraph(x, y);
+    core::RaceCircuit compiled = core::compileRaceCircuit(
+        lattice.dag, {lattice.source}, core::RaceType::Or);
+    expectPricedFrom(*got.estimate, compiled.netlist,
+                     replayLatticeEnergy(compiled, lattice.sink,
+                                         apps::dtwDistance(x, y)));
+}
+
+TEST(GateLevelPricing, GraphAlignIsPricedFromTheCompiledProduct)
+{
+    util::Rng rng(21);
+    pangraph::VariationGraphParams params;
+    params.backboneSegments = 3;
+    params.maxLabel = 4;
+    auto graph = std::make_shared<pangraph::VariationGraph>(
+        pangraph::randomVariationGraph(rng, Alphabet::dna(), params));
+    ScoreMatrix costs = ScoreMatrix::dnaShortestPath();
+    Sequence read = pangraph::sampleRead(
+        rng, *graph, bio::MutationModel::uniform(0.2));
+
+    RaceEngine engine(configFor(BackendKind::GateLevel));
+    RaceResult got =
+        engine.solve(RaceProblem::graphAlign(costs, read, graph));
+    ASSERT_TRUE(got.estimate.has_value());
+
+    pangraph::GraphAligner aligner(graph, costs);
+    pangraph::AlignmentGraph product = pangraph::buildAlignmentGraph(
+        aligner.compiled(), read, aligner.costs());
+    core::RaceCircuit compiled = core::compileRaceCircuit(
+        product.dag, {product.source}, core::RaceType::Or);
+    expectPricedFrom(
+        *got.estimate, compiled.netlist,
+        replayLatticeEnergy(compiled, product.sink,
+                            pangraph::graphAlignDp(*graph, read, costs)
+                                .distance));
+}
+
+TEST(GateLevelPricing, LanePackedBatchSplitsTheChunkEnergyPerLane)
+{
+    // One shape, three comparisons: one 64-lane chunk on one fabric,
+    // whose lock-step activity is shared evenly by its lanes.
+    ScoreMatrix costs = ScoreMatrix::dnaShortestPath();
+    std::vector<Sequence> as{dna("GATTACA"), dna("ACGTACG"),
+                             dna("TTTTTTT")};
+    std::vector<Sequence> bs{dna("GCATGC"), dna("ACGTAC"),
+                             dna("ACGTAC")};
+    std::vector<RaceProblem> problems;
+    std::vector<core::LanePair> lanes;
+    for (size_t i = 0; i < as.size(); ++i) {
+        problems.push_back(
+            RaceProblem::pairwiseAlignment(costs, as[i], bs[i]));
+        lanes.push_back({&as[i], &bs[i]});
+    }
+    EngineConfig config = configFor(BackendKind::GateLevel);
+    config.workerThreads = 1;
+    RaceEngine engine(config);
+    api::BatchOutcome batch = engine.solveBatch(problems);
+
+    core::GeneralizedGridCircuit fabric(costs, 7, 6, config.encoding);
+    core::LaneBatchResult raced = fabric.alignLanes(lanes, 0);
+    const double perLane =
+        tech::energyFromActivityJ(tech::CellLibrary::amis(),
+                                  raced.activity) /
+        static_cast<double>(lanes.size());
+    ASSERT_EQ(batch.results.size(), problems.size());
+    for (size_t i = 0; i < problems.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(raced.lanes[i].score,
+                  bio::globalScore(as[i], bs[i], costs));
+        ASSERT_TRUE(batch.results[i].estimate.has_value());
+        expectPricedFrom(*batch.results[i].estimate, fabric.netlist(),
+                         perLane);
+    }
 }
 
 TEST(ApiEngine, EngineThresholdAppliesToPlainAlignment)

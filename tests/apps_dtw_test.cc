@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "rl/api/api.h"
 #include "rl/apps/dtw.h"
 #include "rl/graph/paths.h"
 #include "rl/util/random.h"
@@ -15,6 +16,13 @@ namespace {
 
 using namespace racelogic;
 using apps::Sample;
+
+api::RaceResult
+solveDtw(const std::vector<Sample> &x, const std::vector<Sample> &y)
+{
+    api::RaceEngine engine;
+    return engine.solve(api::RaceProblem::dtw(x, y));
+}
 
 TEST(DtwDp, IdenticalSignalsAreDistanceZero)
 {
@@ -76,10 +84,9 @@ TEST_P(DtwRaceVsDp, RaceDistanceEqualsDp)
         v = rng.uniformInt(0, 12);
     for (auto &v : y)
         v = rng.uniformInt(0, 12);
-    auto raced = apps::raceDtw(x, y);
-    EXPECT_EQ(raced.distance, apps::dtwDistance(x, y));
-    EXPECT_EQ(raced.latencyCycles,
-              static_cast<sim::Tick>(raced.distance));
+    auto raced = solveDtw(x, y);
+    EXPECT_EQ(raced.score, apps::dtwDistance(x, y));
+    EXPECT_EQ(raced.latencyCycles, static_cast<sim::Tick>(raced.score));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DtwRaceVsDp, ::testing::Range(0, 15));
@@ -100,8 +107,8 @@ TEST(DtwGraph, ZeroWeightEdgesRaceAsWires)
     // Identical signals: every lattice edge weighs 0, the race
     // completes at cycle 0.
     std::vector<Sample> x{4, 4, 4, 4};
-    auto raced = apps::raceDtw(x, x);
-    EXPECT_EQ(raced.distance, 0);
+    auto raced = solveDtw(x, x);
+    EXPECT_EQ(raced.score, 0);
     EXPECT_EQ(raced.latencyCycles, 0u);
 }
 

@@ -7,9 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "rl/api/api.h"
 #include "rl/bio/affine.h"
 #include "rl/bio/align_dp.h"
-#include "rl/core/affine_race.h"
 #include "rl/graph/paths.h"
 #include "rl/util/random.h"
 
@@ -119,7 +119,9 @@ TEST_P(AffineRaceVsDp, RaceEqualsGotohEverywhere)
                                   1 + rng.index(14));
     Sequence b = Sequence::random(rng, Alphabet::dna(),
                                   1 + rng.index(14));
-    auto raced = core::raceAffine(a, b, m, gaps);
+    api::RaceEngine engine;
+    auto raced = engine.solve(
+        api::RaceProblem::affineAlignment(m, gaps, a, b));
     EXPECT_EQ(raced.score, bio::affineGlobalScore(a, b, m, gaps))
         << a.str() << " vs " << b.str() << " open " << gaps.open
         << " extend " << gaps.extend;

@@ -1,25 +1,29 @@
 /**
  * @file
- * Tests for the batch screening engine: scheduling invariants,
- * verdict agreement with the single-fabric screener, and scaling
- * behaviour of the fabric pool.
+ * Tests for batch screening on the fabric pool: the greedy
+ * scheduler's invariants, verdict agreement with the DP filter, and
+ * scaling behaviour of the pool -- raced through
+ * api::RaceEngine::screen / solveBatch, scheduled by
+ * core::scheduleBatch.
  */
 
 #include <gtest/gtest.h>
 
+#include "rl/api/api.h"
+#include "rl/bio/align_dp.h"
 #include "rl/core/batch.h"
-#include "rl/core/threshold.h"
 #include "rl/util/random.h"
 
 namespace {
 
 using namespace racelogic;
+using api::RaceEngine;
+using api::RaceProblem;
 using bio::Alphabet;
 using bio::ScoreMatrix;
 using bio::Sequence;
 using core::BatchConfig;
 using core::BatchReport;
-using core::BatchScreeningEngine;
 
 struct Workload {
     Sequence query;
@@ -36,15 +40,24 @@ makeWorkload(uint64_t seed, size_t n, size_t entries)
     return {wl.query, wl.database};
 }
 
+/** Screen `wl` on a pool of `fabrics` and return its schedule. */
+BatchReport
+screenOnPool(const Workload &wl, size_t fabrics, bio::Score threshold)
+{
+    api::EngineConfig config;
+    config.fabricCount = fabrics;
+    RaceEngine engine(config);
+    api::BatchOutcome batch =
+        engine.screen(ScoreMatrix::dnaShortestPathInfMismatch(),
+                      threshold, wl.query, wl.database);
+    EXPECT_TRUE(batch.schedule.has_value());
+    return batch.schedule.value_or(BatchReport{});
+}
+
 TEST(Batch, SingleFabricMakespanEqualsBusyTime)
 {
     Workload wl = makeWorkload(1, 16, 40);
-    BatchConfig cfg;
-    cfg.fabricCount = 1;
-    cfg.threshold = 20;
-    BatchScreeningEngine engine(
-        ScoreMatrix::dnaShortestPathInfMismatch(), cfg);
-    BatchReport report = engine.run(wl.query, wl.database);
+    BatchReport report = screenOnPool(wl, 1, 20);
     EXPECT_EQ(report.makespanCycles, report.busyCycles);
     EXPECT_DOUBLE_EQ(report.utilization, 1.0);
 }
@@ -53,12 +66,7 @@ TEST(Batch, MakespanBoundedByListSchedulingInvariants)
 {
     Workload wl = makeWorkload(2, 16, 60);
     for (size_t fabrics : {2u, 4u, 8u}) {
-        BatchConfig cfg;
-        cfg.fabricCount = fabrics;
-        cfg.threshold = 24;
-        BatchScreeningEngine engine(
-            ScoreMatrix::dnaShortestPathInfMismatch(), cfg);
-        BatchReport report = engine.run(wl.query, wl.database);
+        BatchReport report = screenOnPool(wl, fabrics, 24);
         // Lower bound: perfect division of work.
         EXPECT_GE(report.makespanCycles * fabrics, report.busyCycles);
         // Utilization is a proper fraction.
@@ -72,64 +80,55 @@ TEST(Batch, MoreFabricsNeverSlowTheBatch)
     Workload wl = makeWorkload(3, 20, 80);
     uint64_t previous = ~0ull;
     for (size_t fabrics : {1u, 2u, 4u, 8u, 16u}) {
-        BatchConfig cfg;
-        cfg.fabricCount = fabrics;
-        cfg.threshold = 26;
-        BatchScreeningEngine engine(
-            ScoreMatrix::dnaShortestPathInfMismatch(), cfg);
-        uint64_t makespan =
-            engine.run(wl.query, wl.database).makespanCycles;
+        uint64_t makespan = screenOnPool(wl, fabrics, 26).makespanCycles;
         EXPECT_LE(makespan, previous) << fabrics << " fabrics";
         previous = makespan;
     }
 }
 
-TEST(Batch, VerdictsMatchSingleScreener)
+TEST(Batch, VerdictsMatchDpFilter)
 {
     Workload wl = makeWorkload(4, 16, 50);
     bio::Score threshold = 22;
-    BatchConfig cfg;
-    cfg.fabricCount = 4;
-    cfg.threshold = threshold;
-    BatchScreeningEngine engine(
-        ScoreMatrix::dnaShortestPathInfMismatch(), cfg);
-    core::ThresholdScreener screener(
-        ScoreMatrix::dnaShortestPathInfMismatch(), threshold);
-    BatchReport report = engine.run(wl.query, wl.database);
-    auto stats = screener.screenDatabase(wl.query, wl.database);
-    ASSERT_EQ(report.accepted.size(), stats.accepted.size());
-    for (size_t i = 0; i < report.accepted.size(); ++i)
-        EXPECT_EQ(report.accepted[i], stats.accepted[i]) << i;
-    EXPECT_EQ(report.acceptedCount, stats.acceptedCount);
+    ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
+    BatchReport report = screenOnPool(wl, 4, threshold);
+    ASSERT_EQ(report.accepted.size(), wl.database.size());
+    size_t accepted = 0;
+    for (size_t i = 0; i < wl.database.size(); ++i) {
+        bool similar =
+            bio::globalScore(wl.query, wl.database[i], m) <= threshold;
+        accepted += similar;
+        EXPECT_EQ(report.accepted[i], similar) << i;
+    }
+    EXPECT_EQ(report.acceptedCount, accepted);
 }
 
 TEST(Batch, ThresholdShortensBusyTime)
 {
     Workload wl = makeWorkload(5, 24, 40);
-    BatchConfig no_threshold;
-    no_threshold.fabricCount = 2;
-    BatchConfig tight = no_threshold;
-    tight.threshold = 28;
     ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
-    uint64_t full =
-        BatchScreeningEngine(m, no_threshold)
-            .run(wl.query, wl.database)
-            .busyCycles;
-    uint64_t capped = BatchScreeningEngine(m, tight)
-                          .run(wl.query, wl.database)
-                          .busyCycles;
-    EXPECT_LT(capped, full);
+    api::EngineConfig config;
+    config.fabricCount = 2;
+    RaceEngine engine(config);
+
+    // Plain alignments of one query against the database race to
+    // completion on the same pool.
+    std::vector<RaceProblem> unbounded;
+    for (const Sequence &candidate : wl.database)
+        unbounded.push_back(
+            RaceProblem::pairwiseAlignment(m, wl.query, candidate));
+    api::BatchOutcome full = engine.solveBatch(unbounded);
+    api::BatchOutcome capped =
+        engine.screen(m, 28, wl.query, wl.database);
+    ASSERT_TRUE(full.schedule.has_value());
+    ASSERT_TRUE(capped.schedule.has_value());
+    EXPECT_LT(capped.schedule->busyCycles, full.schedule->busyCycles);
 }
 
 TEST(Batch, ThroughputPricing)
 {
     Workload wl = makeWorkload(6, 16, 30);
-    BatchConfig cfg;
-    cfg.fabricCount = 4;
-    cfg.threshold = 20;
-    BatchScreeningEngine engine(
-        ScoreMatrix::dnaShortestPathInfMismatch(), cfg);
-    BatchReport report = engine.run(wl.query, wl.database);
+    BatchReport report = screenOnPool(wl, 4, 20);
     const auto &lib = tech::CellLibrary::amis();
     EXPECT_GT(report.wallTimeNs(lib), 0.0);
     EXPECT_GT(report.comparisonsPerSecond(lib), 0.0);
@@ -140,13 +139,25 @@ TEST(Batch, ThroughputPricing)
                 1.0);
 }
 
+TEST(Batch, ScheduleIsGreedyListScheduling)
+{
+    // Busy 3, 5, 2 (+1 reset each) on two fabrics: the third run
+    // goes to the fabric free at cycle 4, finishing at 7.
+    BatchConfig cfg;
+    cfg.fabricCount = 2;
+    BatchReport report = core::scheduleBatch(
+        cfg, {{true, 3}, {false, 5}, {true, 2}});
+    EXPECT_EQ(report.comparisons, 3u);
+    EXPECT_EQ(report.acceptedCount, 2u);
+    EXPECT_EQ(report.accepted, (std::vector<bool>{true, false, true}));
+    EXPECT_EQ(report.busyCycles, 13u);
+    EXPECT_EQ(report.makespanCycles, 7u);
+    EXPECT_DOUBLE_EQ(report.utilization, 13.0 / 14.0);
+}
+
 TEST(Batch, EmptyDatabase)
 {
-    BatchConfig cfg;
-    BatchScreeningEngine engine(
-        ScoreMatrix::dnaShortestPathInfMismatch(), cfg);
-    Sequence q(Alphabet::dna(), "ACGT");
-    BatchReport report = engine.run(q, {});
+    BatchReport report = core::scheduleBatch(BatchConfig{}, {});
     EXPECT_EQ(report.comparisons, 0u);
     EXPECT_EQ(report.makespanCycles, 0u);
     EXPECT_EQ(report.utilization, 0.0);

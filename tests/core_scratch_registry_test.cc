@@ -19,9 +19,11 @@
 #include <stdexcept>
 #include <thread>
 
+#include "rl/api/api.h"
 #include "rl/core/race_grid.h"
 #include "rl/core/scratch_registry.h"
 #include "rl/core/wavefront.h"
+#include "rl/pangraph/generate.h"
 
 namespace {
 
@@ -227,6 +229,43 @@ TEST(ScratchRegistry, DeadThreadsLeaveSafeTombstones)
     EXPECT_EQ(registry.entryCount(), before + 1);
     (void)registry.shrinkAll(); // must not crash
     (void)registry.shrinkAll();
+}
+
+TEST(ScratchRegistry, EngineSolvesPublishThreadScratchForTheJanitor)
+{
+    // The serving brownout latch reads totalResidentBytes() and
+    // reclaims with shrinkAll(); both only work if the engine's
+    // kernels race on registered thread-local arenas.  A fresh thread
+    // registers its own pairwise and graph arenas on first use.
+    core::ScratchRegistry &registry = core::ScratchRegistry::instance();
+    util::Rng rng(7);
+    pangraph::VariationGraphParams params;
+    params.backboneSegments = 8;
+    auto graph = std::make_shared<pangraph::VariationGraph>(
+        pangraph::randomVariationGraph(rng, bio::Alphabet::dna(), params));
+    const bio::Sequence read = pangraph::sampleRead(
+        rng, *graph, bio::MutationModel::uniform(0.1));
+    const bio::ScoreMatrix costs = bio::ScoreMatrix::dnaShortestPath();
+
+    std::thread worker([&] {
+        (void)registry.shrinkAll();
+        const size_t before = registry.totalResidentBytes();
+        api::RaceEngine engine;
+
+        (void)engine.solve(api::RaceProblem::pairwiseAlignment(
+            costs, dna(longDna(300)), dna(longDna(301).substr(1))));
+        const size_t afterGrid = registry.totalResidentBytes();
+        EXPECT_GT(afterGrid, before);
+
+        (void)engine.solve(
+            api::RaceProblem::graphAlign(costs, read, graph));
+        const size_t afterGraph = registry.totalResidentBytes();
+        EXPECT_GT(afterGraph, afterGrid);
+
+        EXPECT_GE(registry.shrinkAll(), afterGraph - before);
+        EXPECT_LE(registry.totalResidentBytes(), before);
+    });
+    worker.join();
 }
 
 } // namespace

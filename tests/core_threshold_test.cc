@@ -1,54 +1,73 @@
 /**
  * @file
- * Tests for Section 6 threshold screening: exactness of the verdict,
- * cycle accounting, and the throughput gain on realistic workloads.
+ * Tests for Section 6 threshold screening through api::RaceEngine:
+ * exactness of the verdict against the DP filter, cycle accounting,
+ * and the throughput gain on realistic workloads.
  */
 
 #include <gtest/gtest.h>
 
+#include "rl/api/api.h"
 #include "rl/bio/align_dp.h"
-#include "rl/core/threshold.h"
 #include "rl/util/random.h"
 
 namespace {
 
 using namespace racelogic;
+using api::RaceEngine;
+using api::RaceProblem;
+using api::RaceResult;
 using bio::Alphabet;
 using bio::ScoreMatrix;
 using bio::Sequence;
-using core::ThresholdScreener;
+
+RaceResult
+screenOne(bio::Score threshold, const Sequence &query,
+          const Sequence &candidate)
+{
+    RaceEngine engine;
+    return engine.solve(RaceProblem::thresholdScreen(
+        ScoreMatrix::dnaShortestPathInfMismatch(), threshold, query,
+        candidate));
+}
+
+/** An engine that races every screen to completion (no horizon). */
+RaceEngine
+fullRaceEngine()
+{
+    api::EngineConfig config;
+    config.earlyTerminate = false;
+    return RaceEngine(config);
+}
 
 TEST(Threshold, SimilarPairReportsExactScoreAndCycles)
 {
-    ThresholdScreener screener(
-        ScoreMatrix::dnaShortestPathInfMismatch(), 8);
     Sequence a(Alphabet::dna(), "ACGTAC");
-    auto outcome = screener.screen(a, a);
-    EXPECT_TRUE(outcome.similar);
+    RaceResult outcome = screenOne(8, a, a);
+    EXPECT_TRUE(outcome.accepted);
     EXPECT_EQ(outcome.score, 6);
     EXPECT_EQ(outcome.cyclesUsed, 6u);
 }
 
 TEST(Threshold, DissimilarPairAbortsAtThreshold)
 {
-    ThresholdScreener screener(
-        ScoreMatrix::dnaShortestPathInfMismatch(), 5);
     Sequence a(Alphabet::dna(), "AAAAAA");
     Sequence b(Alphabet::dna(), "CCCCCC");
-    auto outcome = screener.screen(a, b); // true cost 12
-    EXPECT_FALSE(outcome.similar);
+    RaceResult outcome = screenOne(5, a, b); // true cost 12
+    EXPECT_FALSE(outcome.accepted);
+    EXPECT_FALSE(outcome.completed);
     EXPECT_EQ(outcome.score, bio::kScoreInfinity);
     EXPECT_EQ(outcome.cyclesUsed, 5u)
         << "the engine learns the verdict at the threshold cycle";
+    EXPECT_EQ(outcome.latencyCycles, 5u)
+        << "the kernel itself stops racing at the threshold";
 }
 
 TEST(Threshold, BoundaryScoreEqualToThresholdIsSimilar)
 {
-    ThresholdScreener screener(
-        ScoreMatrix::dnaShortestPathInfMismatch(), 6);
     Sequence a(Alphabet::dna(), "ACGTAC");
-    auto outcome = screener.screen(a, a); // score 6 == threshold
-    EXPECT_TRUE(outcome.similar);
+    RaceResult outcome = screenOne(6, a, a); // score 6 == threshold
+    EXPECT_TRUE(outcome.accepted);
     EXPECT_EQ(outcome.cyclesUsed, 6u);
 }
 
@@ -61,7 +80,7 @@ TEST_P(ThresholdExactness, VerdictMatchesDpFilterExactly)
     util::Rng rng(7000 + GetParam());
     ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
     bio::Score threshold = 4 + rng.uniformInt(0, 12);
-    ThresholdScreener screener(m, threshold);
+    RaceEngine engine;
     Sequence query = Sequence::random(rng, Alphabet::dna(), 12);
     for (int candidate = 0; candidate < 12; ++candidate) {
         Sequence c =
@@ -70,14 +89,15 @@ TEST_P(ThresholdExactness, VerdictMatchesDpFilterExactly)
                 : Sequence::random(rng, Alphabet::dna(), 12);
         if (c.empty())
             continue;
-        auto outcome = screener.screen(query, c);
+        RaceResult outcome = engine.solve(
+            RaceProblem::thresholdScreen(m, threshold, query, c));
         bio::Score truth = bio::globalScore(query, c, m);
-        EXPECT_EQ(outcome.similar, truth <= threshold);
-        if (outcome.similar) {
+        EXPECT_EQ(outcome.accepted, truth <= threshold);
+        if (outcome.accepted) {
             EXPECT_EQ(outcome.score, truth);
         }
-        EXPECT_LE(outcome.cyclesUsed,
-                  static_cast<sim::Tick>(threshold));
+        EXPECT_EQ(outcome.cyclesUsed,
+                  static_cast<sim::Tick>(std::min(truth, threshold)));
     }
 }
 
@@ -90,13 +110,22 @@ TEST(Threshold, DatabaseScreeningAggregates)
     auto wl = bio::makeScreeningWorkload(
         rng, Alphabet::dna(), 24, 60, 0.2,
         bio::MutationModel::uniform(0.08));
-    ThresholdScreener screener(
-        ScoreMatrix::dnaShortestPathInfMismatch(), 32);
-    auto stats = screener.screenDatabase(wl.query, wl.database);
-    EXPECT_EQ(stats.candidates, 60u);
-    EXPECT_EQ(stats.accepted.size(), 60u);
-    EXPECT_LE(stats.cyclesWithThreshold, stats.cyclesFullRace);
-    EXPECT_GE(stats.speedup(), 1.0);
+    ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
+    RaceEngine engine = fullRaceEngine();
+    api::BatchOutcome batch = engine.screen(m, 32, wl.query, wl.database);
+    ASSERT_EQ(batch.results.size(), 60u);
+    uint64_t clamped = 0, full = 0;
+    for (size_t i = 0; i < wl.database.size(); ++i) {
+        const bio::Score truth =
+            bio::globalScore(wl.query, wl.database[i], m);
+        EXPECT_EQ(batch.results[i].accepted, truth <= 32) << i;
+        clamped += static_cast<uint64_t>(std::min<bio::Score>(truth, 32));
+        full += static_cast<uint64_t>(truth);
+    }
+    EXPECT_EQ(batch.busyCycles(), clamped);
+    EXPECT_EQ(batch.fullRaceCycles(), full);
+    EXPECT_LE(batch.busyCycles(), batch.fullRaceCycles());
+    EXPECT_GE(batch.speedup(), 1.0);
 }
 
 TEST(Threshold, UnrelatedDatabaseGivesLargeSpeedup)
@@ -110,10 +139,11 @@ TEST(Threshold, UnrelatedDatabaseGivesLargeSpeedup)
     for (int i = 0; i < 50; ++i)
         database.push_back(Sequence::random(rng, Alphabet::dna(), n));
     bio::Score threshold = 44; // just above best-case n cycles
-    ThresholdScreener screener(
-        ScoreMatrix::dnaShortestPathInfMismatch(), threshold);
-    auto stats = screener.screenDatabase(query, database);
-    EXPECT_GT(stats.speedup(), 1.2);
+    RaceEngine engine = fullRaceEngine();
+    api::BatchOutcome batch =
+        engine.screen(ScoreMatrix::dnaShortestPathInfMismatch(),
+                      threshold, query, database);
+    EXPECT_GT(batch.speedup(), 1.2);
 }
 
 TEST(Threshold, RelatedEntriesAreAccepted)
@@ -122,9 +152,7 @@ TEST(Threshold, RelatedEntriesAreAccepted)
     Sequence query = Sequence::random(rng, Alphabet::dna(), 30);
     Sequence relative = mutate(rng, query,
                               bio::MutationModel{0.05, 0.0, 0.0});
-    ThresholdScreener screener(
-        ScoreMatrix::dnaShortestPathInfMismatch(), 40);
-    EXPECT_TRUE(screener.screen(query, relative).similar);
+    EXPECT_TRUE(screenOne(40, query, relative).accepted);
 }
 
 } // namespace

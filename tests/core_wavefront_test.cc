@@ -10,9 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include "rl/api/api.h"
 #include "rl/bio/align_dp.h"
 #include "rl/bio/edit_graph.h"
-#include "rl/core/batch.h"
 #include "rl/core/race_grid.h"
 #include "rl/core/race_network.h"
 #include "rl/core/wavefront.h"
@@ -197,7 +197,9 @@ TEST_P(GridKernel, MatchesMaterializedEditGraphRaceExactly)
     Sequence b = Sequence::random(rng, Alphabet::dna(),
                                   1 + rng.index(12));
 
-    core::RaceGridResult grid = core::raceEditGrid(a, b, m);
+    core::RaceGridScratch scratch;
+    core::RaceGridResult grid =
+        core::raceEditGrid(a, b, m, sim::kTickInfinity, scratch);
 
     bio::EditGraph eg = bio::makeEditGraph(a, b, m);
     RaceOutcome reference = core::raceDagEventDriven(
@@ -229,11 +231,13 @@ TEST_P(GridKernel, HorizonMatchesFullRacePrefix)
     Sequence a = Sequence::random(rng, Alphabet::dna(), 10);
     Sequence b = Sequence::random(rng, Alphabet::dna(), 10);
 
-    core::RaceGridResult full = core::raceEditGrid(a, b, m);
+    core::RaceGridScratch scratch;
+    core::RaceGridResult full =
+        core::raceEditGrid(a, b, m, sim::kTickInfinity, scratch);
     for (sim::Tick horizon :
          {sim::Tick(0), sim::Tick(4), sim::Tick(full.latencyCycles)}) {
         core::RaceGridResult bounded =
-            core::raceEditGrid(a, b, m, horizon);
+            core::raceEditGrid(a, b, m, horizon, scratch);
         for (size_t i = 0; i < full.arrival.rows(); ++i) {
             for (size_t j = 0; j < full.arrival.cols(); ++j) {
                 sim::Tick t = full.arrival.at(i, j);
@@ -258,11 +262,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GridKernel, ::testing::Range(0, 10));
 
 TEST(ScreeningHorizon, BatchBusyCyclesAgreeWithClampAfterFullRace)
 {
-    // Satellite of the kernel rework: BatchScreeningEngine races each
-    // comparison with the threshold as the kernel horizon.  The
-    // resulting busy cycles must equal the old accounting (race to
-    // completion, clamp to the threshold afterwards), comparison by
-    // comparison.
+    // RaceEngine::screen races each comparison with the threshold as
+    // the kernel horizon.  The resulting busy cycles must equal the
+    // DP accounting (the full cost, clamped to the threshold),
+    // comparison by comparison.
     util::Rng rng(51);
     auto wl = bio::makeScreeningWorkload(
         rng, Alphabet::dna(), 18, 40, 0.3,
@@ -270,23 +273,27 @@ TEST(ScreeningHorizon, BatchBusyCyclesAgreeWithClampAfterFullRace)
     ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
     const bio::Score threshold = 22;
 
-    core::BatchConfig cfg;
+    api::EngineConfig cfg;
     cfg.fabricCount = 1; // makespan == busy time: exact accounting
-    cfg.threshold = threshold;
-    core::BatchScreeningEngine engine(m, cfg);
-    core::BatchReport report = engine.run(wl.query, wl.database);
+    api::RaceEngine engine(cfg);
+    api::BatchOutcome batch =
+        engine.screen(m, threshold, wl.query, wl.database);
+    ASSERT_TRUE(batch.schedule.has_value());
 
-    core::RaceGridAligner full(m);
     uint64_t clampedTotal = 0;
     for (size_t i = 0; i < wl.database.size(); ++i) {
-        bio::Score score = full.align(wl.query, wl.database[i]).score;
-        EXPECT_EQ(report.accepted[i], score <= threshold) << i;
+        bio::Score score = bio::globalScore(wl.query, wl.database[i], m);
+        EXPECT_EQ(batch.results[i].accepted, score <= threshold) << i;
+        EXPECT_EQ(batch.results[i].cyclesUsed,
+                  static_cast<sim::Tick>(std::min(score, threshold)))
+            << i;
         clampedTotal +=
             std::min<uint64_t>(static_cast<uint64_t>(score),
                                static_cast<uint64_t>(threshold)) +
             cfg.resetCycles;
     }
-    EXPECT_EQ(report.busyCycles, clampedTotal);
+    EXPECT_EQ(batch.schedule->busyCycles, clampedTotal);
+    EXPECT_EQ(batch.schedule->makespanCycles, clampedTotal);
 }
 
 TEST(ScreeningHorizon, ScreenerStopsRacingAtThreshold)

@@ -1,47 +1,57 @@
 /**
  * @file
- * End-to-end integration tests: the public RaceAligner API, triple
- * agreement between Race Logic / systolic baseline / DP oracle, and
- * a full screening pipeline.
+ * End-to-end integration tests through the one front door,
+ * api::RaceEngine: triple agreement between Race Logic / systolic
+ * baseline / DP oracle, the gate-level backend against the DP, and a
+ * full screening pipeline.
  */
 
 #include <gtest/gtest.h>
 
+#include "rl/api/api.h"
 #include "rl/bio/align_dp.h"
-#include "rl/core/race_aligner.h"
-#include "rl/core/threshold.h"
 #include "rl/systolic/lipton_lopresti.h"
 #include "rl/util/random.h"
 
 namespace {
 
 using namespace racelogic;
+using api::RaceEngine;
+using api::RaceProblem;
 using bio::Alphabet;
 using bio::ScoreMatrix;
 using bio::Sequence;
-using core::Backend;
-using core::RaceAligner;
 
-TEST(RaceAligner, CostMatrixPassthrough)
+api::EngineConfig
+gateLevel()
 {
-    RaceAligner aligner(ScoreMatrix::dnaShortestPathInfMismatch());
-    Sequence p(Alphabet::dna(), "ACTGAGA");
-    Sequence q(Alphabet::dna(), "GATTCGA");
-    auto out = aligner.align(q, p);
-    EXPECT_EQ(out.score, 10);
-    EXPECT_EQ(out.racedCost, 10);
-    EXPECT_EQ(out.latencyCycles, 10u);
-    EXPECT_FALSE(aligner.conversion().has_value());
+    api::EngineConfig config;
+    config.backend = api::BackendKind::GateLevel;
+    return config;
 }
 
-TEST(RaceAligner, SimilarityMatrixAutoConverts)
+TEST(PairwiseEngine, CostMatrixPassthrough)
 {
-    RaceAligner aligner(ScoreMatrix::blosum62());
-    ASSERT_TRUE(aligner.conversion().has_value());
-    EXPECT_EQ(aligner.conversion()->bias, 6);
+    // Fig. 4: the paper's worked example races to cost 10.
+    ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
+    Sequence p(Alphabet::dna(), "ACTGAGA");
+    Sequence q(Alphabet::dna(), "GATTCGA");
+    RaceEngine engine;
+    auto out = engine.solve(RaceProblem::pairwiseAlignment(m, q, p));
+    EXPECT_EQ(out.score, 10);
+    EXPECT_EQ(out.score, bio::globalScore(q, p, m));
+    EXPECT_EQ(out.racedCost, 10);
+    EXPECT_EQ(out.latencyCycles, 10u);
+}
+
+TEST(PairwiseEngine, SimilarityMatrixAutoConverts)
+{
+    EXPECT_EQ(bio::toShortestPathForm(ScoreMatrix::blosum62()).bias, 6);
     Sequence a(Alphabet::protein(), "HEAGAWGHEE");
     Sequence b(Alphabet::protein(), "PAWHEAE");
-    auto out = aligner.align(a, b);
+    RaceEngine engine;
+    auto out = engine.solve(
+        RaceProblem::pairwiseAlignment(ScoreMatrix::blosum62(), a, b));
     EXPECT_EQ(out.score,
               bio::globalScore(a, b, ScoreMatrix::blosum62()));
     EXPECT_GT(out.latencyCycles, 0u);
@@ -57,7 +67,7 @@ TEST_P(AlignerVsOracles, TripleAgreementRaceSystolicDp)
     // score on random inputs.
     util::Rng rng(11000 + GetParam());
     ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
-    RaceAligner race(m);
+    RaceEngine race;
     systolic::LiptonLoprestiArray sys(m);
     for (int trial = 0; trial < 5; ++trial) {
         size_t n = 1 + rng.index(28);
@@ -65,7 +75,9 @@ TEST_P(AlignerVsOracles, TripleAgreementRaceSystolicDp)
         Sequence a = Sequence::random(rng, Alphabet::dna(), n);
         Sequence b = Sequence::random(rng, Alphabet::dna(), k);
         bio::Score dp = bio::globalScore(a, b, m);
-        EXPECT_EQ(race.align(a, b).score, dp);
+        EXPECT_EQ(
+            race.solve(RaceProblem::pairwiseAlignment(m, a, b)).score,
+            dp);
         EXPECT_EQ(sys.align(a, b).score, dp);
     }
 }
@@ -77,29 +89,28 @@ class GateLevelBackend : public ::testing::TestWithParam<int> {};
 
 TEST_P(GateLevelBackend, CrossChecksBehavioralModel)
 {
-    // Backend::GateLevel synthesizes a real netlist per comparison
-    // and asserts agreement internally; any divergence aborts.
+    // The GateLevel backend synthesizes a real netlist per grid
+    // shape and asserts agreement internally; any divergence aborts.
     util::Rng rng(12000 + GetParam());
-    RaceAligner aligner(ScoreMatrix::dnaShortestPathInfMismatch(),
-                        Backend::GateLevel);
+    ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
+    RaceEngine engine(gateLevel());
     size_t n = 1 + rng.index(6);
     size_t k = 1 + rng.index(6);
     Sequence a = Sequence::random(rng, Alphabet::dna(), n);
     Sequence b = Sequence::random(rng, Alphabet::dna(), k);
-    auto out = aligner.align(a, b);
-    EXPECT_EQ(out.score,
-              bio::globalScore(
-                  a, b, ScoreMatrix::dnaShortestPathInfMismatch()));
+    auto out = engine.solve(RaceProblem::pairwiseAlignment(m, a, b));
+    EXPECT_EQ(out.score, bio::globalScore(a, b, m));
 }
 
 TEST_P(GateLevelBackend, Blosum62GateLevelRoundTrip)
 {
     util::Rng rng(13000 + GetParam());
-    RaceAligner aligner(ScoreMatrix::blosum62(), Backend::GateLevel);
+    RaceEngine engine(gateLevel());
     // Tiny strings: each generalized protein cell is ~10^3 gates.
     Sequence a = Sequence::random(rng, Alphabet::protein(), 2);
     Sequence b = Sequence::random(rng, Alphabet::protein(), 2);
-    auto out = aligner.align(a, b);
+    auto out = engine.solve(
+        RaceProblem::pairwiseAlignment(ScoreMatrix::blosum62(), a, b));
     EXPECT_EQ(out.score,
               bio::globalScore(a, b, ScoreMatrix::blosum62()));
 }
@@ -121,16 +132,23 @@ TEST(ScreeningPipeline, EndToEndRecallAndPrecisionProxy)
         bio::MutationModel{0.04, 0.02, 0.02});
     ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
     bio::Score threshold = 44;
-    core::ThresholdScreener screener(m, threshold);
-    auto stats = screener.screenDatabase(wl.query, wl.database);
+    // Full races (no kernel horizon) so speedup() can compare the
+    // clamped busy time against racing every candidate to the end.
+    api::EngineConfig config;
+    config.earlyTerminate = false;
+    RaceEngine engine(config);
+    api::BatchOutcome batch =
+        engine.screen(m, threshold, wl.query, wl.database);
+    ASSERT_EQ(batch.results.size(), wl.database.size());
     for (size_t i = 0; i < wl.database.size(); ++i) {
         bool dp_similar =
             bio::globalScore(wl.query, wl.database[i], m) <= threshold;
-        EXPECT_EQ(stats.accepted[i], dp_similar) << "entry " << i;
+        EXPECT_EQ(batch.results[i].accepted, dp_similar)
+            << "entry " << i;
     }
-    EXPECT_GT(stats.acceptedCount, 0u);
-    EXPECT_LT(stats.acceptedCount, wl.database.size());
-    EXPECT_GT(stats.speedup(), 1.0);
+    EXPECT_GT(batch.acceptedCount(), 0u);
+    EXPECT_LT(batch.acceptedCount(), wl.database.size());
+    EXPECT_GT(batch.speedup(), 1.0);
 }
 
 TEST(Determinism, IdenticalRunsProduceIdenticalResults)
@@ -139,10 +157,11 @@ TEST(Determinism, IdenticalRunsProduceIdenticalResults)
     // required for reproducible experiments.
     auto run = [] {
         util::Rng rng(555);
-        RaceAligner aligner(ScoreMatrix::blosum62());
+        RaceEngine engine;
         Sequence a = Sequence::random(rng, Alphabet::protein(), 24);
         Sequence b = Sequence::random(rng, Alphabet::protein(), 20);
-        auto out = aligner.align(a, b);
+        auto out = engine.solve(RaceProblem::pairwiseAlignment(
+            ScoreMatrix::blosum62(), a, b));
         return std::make_pair(out.score, out.latencyCycles);
     };
     EXPECT_EQ(run(), run());

@@ -480,8 +480,10 @@ TEST(GraphAlignDeath, RejectsMatrixMismatchedWithCompiledView)
     GraphAligner aligner(graph, ScoreMatrix::dnaShortestPath());
     ScoreMatrix other = ScoreMatrix::uniform(
         Alphabet::dna(), bio::ScoreKind::Cost, 3);
+    pangraph::GraphAlignScratch scratch;
     EXPECT_EXIT(pangraph::raceAlignmentGrid(aligner.compiled(),
-                                            dna("AC"), other),
+                                            dna("AC"), other,
+                                            sim::kTickInfinity, scratch),
                 ::testing::KilledBySignal(SIGABRT), "compiled");
     EXPECT_EXIT(pangraph::buildAlignmentGraph(aligner.compiled(),
                                               dna("AC"), other),
