@@ -86,9 +86,9 @@ BENCHMARK(BM_GraphAlignRace)->Arg(16)->Arg(64);
 void
 BM_GraphAlignFused(benchmark::State &state)
 {
-    // Steady-state fused sweep: calendar arena and weight rows
-    // reused across reads, the per-thread shape of the engine's
-    // read-mapping batch body (headline bench).
+    // Steady-state fused sweep: weight rows reused across reads, the
+    // per-thread shape of the engine's read-mapping batch body
+    // (headline bench).
     Workload w(size_t(state.range(0)));
     pangraph::GraphAligner aligner(w.graph,
                                    ScoreMatrix::dnaShortestPath());

@@ -459,7 +459,7 @@ RaceEngine::raceGridBehavioral(const RaceProblem &problem,
                          threshold != bio::kScoreInfinity;
     // align() races on this thread's registered kernel scratch, so
     // the batch screening loop (and every serial solve) reuses one
-    // bucket-calendar arena instead of allocating it per comparison.
+    // set of weight rows instead of allocating them per comparison.
     core::RaceGridResult raced = plan.behavioral->align(
         a, b,
         bounded ? static_cast<sim::Tick>(threshold)

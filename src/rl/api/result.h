@@ -73,10 +73,10 @@ struct RaceResult {
     bool completed = true;
 
     /**
-     * True iff a RaceProblem::cancel token stopped the race before
-     * the sink fired (deadline expiry, caller gave up).  A cancelled
+     * True iff a RaceProblem::cancel token stopped the race
+     * (deadline expiry, caller gave up).  A cancelled
      * result is a typed abort: completed = false, accepted = false,
-     * score kScoreInfinity, latencyCycles the last cycle swept.
+     * score kScoreInfinity; the race's other fields are unspecified.
      */
     bool cancelled = false;
 

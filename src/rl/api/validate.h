@@ -87,8 +87,8 @@ Status checkShape(const RaceProblem &problem);
 /**
  * O(1) admission control: checkShape(), then the problem's race size
  * against `limits` and the kernels' hard 32-bit id-space bounds
- * (GraphAlign product states and scheduled-arrival count must fit
- * uint32 even when the limits are unlimited).  Grid-cell violations
+ * (GraphAlign product states must fit uint32 even when the limits
+ * are unlimited).  Grid-cell violations
  * are Oversized; product-state and id-space violations are
  * ResourceExhausted.
  */

@@ -1,8 +1,8 @@
 /**
  * @file
- * KernelCounters: per-race profiling counters the wavefront kernels
- * and the compiled gate-level simulator already compute (or can
- * derive for free) while racing.
+ * KernelCounters: per-race profiling counters the grid kernels and
+ * the compiled gate-level simulator already compute (or can derive
+ * for free) while racing.
  *
  * Every kernel entry point that accepts one takes it as an optional
  * out-param (`KernelCounters *counters = nullptr`): a null pointer
@@ -10,7 +10,8 @@
  * after the sweep, from values they tracked anyway -- and the raced
  * result is bit-identical either way.  Counters *accumulate* so one
  * struct can aggregate a whole batch; scratchHighWater is a running
- * maximum, everything else a running sum.
+ * maximum, everything else a running sum.  A cancelled race adds only
+ * to `cancels`.
  *
  * The struct lives in rl/core (the lowest layer that races) so the
  * grid kernel, the fused graph kernel, and the circuit simulator can
@@ -27,13 +28,16 @@
 namespace racelogic::core {
 
 struct KernelCounters {
-    /** Calendar events drained (one per scheduled arrival swept). */
+    /** Grid kernels: edge arrivals at or before the horizon (not
+     *  cell firings).  CompiledSim: net toggles. */
     uint64_t events = 0;
 
-    /** Calendar buckets swept: simulated clock cycles the race ran. */
+    /** Clock cycles raced: the latest such arrival + 1 on the grid
+     *  kernels, ticks on CompiledSim. */
     uint64_t bucketsDrained = 0;
 
-    /** Peak calendar arena nodes allocated in any single race. */
+    /** Largest working table of one race, in entries (not bytes):
+     *  arrival-table cells on the grid kernels, nets on CompiledSim. */
     uint64_t scratchHighWater = 0;
 
     /**

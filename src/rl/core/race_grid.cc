@@ -2,8 +2,8 @@
 
 #include <sstream>
 
+#include "rl/core/kernel_counters.h"
 #include "rl/core/scratch_registry.h"
-#include "rl/core/wavefront.h"
 #include "rl/util/logging.h"
 #include "rl/util/strings.h"
 
@@ -111,11 +111,84 @@ RaceGridAligner::align(const bio::Sequence &a, const bio::Sequence &b,
                        const CancelToken *cancel,
                        KernelCounters *counters) const
 {
-    RaceGridResult result = raceEditGrid(a, b, costMatrix, horizon,
-                                         scratch, cancel, counters);
-    rl_assert(horizon != sim::kTickInfinity || result.cancelled ||
-                  result.completed,
+    return raceEditGrid(a, b, costMatrix, horizon, scratch, cancel,
+                        counters);
+}
+
+namespace {
+
+/** The column axis of an edit grid: b's positions as a linear chain. */
+struct ChainColumns {
+    const bio::Symbol *symbols; ///< b
+    const bio::Score *gaps;     ///< gap(b[q - 1]) at q - 1
+    size_t width;               ///< |b| + 1
+
+    size_t size() const { return width; }
+    bio::Symbol symbol(size_t q) const { return symbols[q - 1]; }
+    bio::Score gap(size_t q) const { return gaps[q - 1]; }
+    size_t reach(size_t q) const { return q + 1; }
+    template <typename F> void forEachPred(size_t q, F &&f) const { f(q - 1); }
+};
+
+} // namespace
+
+RaceGridResult
+raceEditGrid(const bio::Sequence &a, const bio::Sequence &b,
+             const bio::ScoreMatrix &costs, sim::Tick horizon,
+             RaceGridScratch &scratch, const CancelToken *cancel,
+             KernelCounters *counters)
+{
+    rl_assert(a.alphabet() == costs.alphabet() &&
+              b.alphabet() == costs.alphabet(),
+              "sequences and matrix use different alphabets");
+    rl_assert(costs.minFinite() >= 1,
+              "raceEditGrid requires all finite weights >= 1 (got ",
+              costs.minFinite(), ")");
+
+    const size_t rows = a.size();
+    const size_t cols = b.size();
+
+    const SweepRows weights = scratch.hoist(a, costs);
+    scratch.gapCol.resize(cols);
+    for (size_t j = 0; j < cols; ++j)
+        scratch.gapCol[j] = costs.gap(b[j]);
+
+    RaceGridResult result;
+    result.arrival = util::Grid<sim::Tick>(rows + 1, cols + 1,
+                                           sim::kTickInfinity);
+    const SweepTally tally = denseSweep(
+        ChainColumns{b.symbols().data(), scratch.gapCol.data(), cols + 1},
+        weights, horizon, result.arrival.data(), cancel);
+
+    if (tally.cancelled) {
+        result.completed = false;
+        result.cancelled = true;
+        result.score = bio::kScoreInfinity;
+        if (counters)
+            ++counters->cancels;
+        return result;
+    }
+    result.events = tally.events;
+    result.cellsFired = tally.fired;
+    const sim::Tick sink = result.arrival.at(rows, cols);
+    result.completed = sink != sim::kTickInfinity;
+    rl_assert(result.completed || horizon != sim::kTickInfinity,
               "sink never fired; gap weights should guarantee a path");
+    // A Section 6 abort stops at the horizon, where the counter trips.
+    result.score = result.completed ? static_cast<bio::Score>(sink)
+                                    : bio::kScoreInfinity;
+    result.latencyCycles = result.completed ? sink : horizon;
+
+    // Profiling export, from values the sweep tracked anyway.
+    if (counters) {
+        counters->events += result.events;
+        counters->bucketsDrained += tally.latest + 1;
+        counters->scratchHighWater =
+            std::max(counters->scratchHighWater,
+                     static_cast<uint64_t>(result.arrival.size()));
+        counters->lanesOccupied += result.cellsFired;
+        counters->horizonAborts += !result.completed;
+    }
     return result;
 }
 

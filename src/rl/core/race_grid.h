@@ -3,10 +3,10 @@
  * The N x M unit-cell Race Logic sequence aligner (paper Fig. 4).
  *
  * Behavioral model: the edit graph of the two strings is raced
- * (OR-type) on the bucketed wavefront kernel (rl/core/wavefront.h),
- * which sweeps the grid one clock cycle at a time without ever
- * materializing the graph; each grid node's firing cycle is
- * recorded.  The firing-time table *is* the
+ * (OR-type) by the dense row sweep (rl/core/dense_sweep.h), which
+ * settles each grid node at its firing cycle -- the earliest arrival
+ * over its in-edges -- without ever materializing the graph or
+ * ticking a clock.  The firing-time table *is* the
  * paper's Fig. 4c ("the number inside each cell represents ... [the]
  * clock cycle at which signal '1' reached the output of an OR gate
  * of a particular unit cell"), and thresholding it by cycle yields
@@ -23,14 +23,13 @@
 
 #include "rl/bio/score_matrix.h"
 #include "rl/bio/sequence.h"
+#include "rl/core/dense_sweep.h"
 #include "rl/sim/event_queue.h"
 #include "rl/util/grid.h"
 
 namespace racelogic::core {
 
-class CancelToken;      // rl/core/cancel.h
-struct RaceGridScratch; // rl/core/wavefront.h
-struct KernelCounters;  // rl/core/kernel_counters.h
+struct KernelCounters; // rl/core/kernel_counters.h
 
 /** @name Arrival-grid renderers
  *  Shared by RaceGridResult and the api facade (which holds the same
@@ -57,12 +56,17 @@ struct RaceGridResult {
 
     /**
      * True iff the sink fired.  A horizon-bounded race (Section 6
-     * abort) or a cancelled one can leave it false; score is then
-     * kScoreInfinity and latencyCycles the cycle the sweep stopped.
+     * abort) leaves it false with score kScoreInfinity and
+     * latencyCycles the horizon; a cancelled race always leaves it
+     * false.
      */
     bool completed = true;
 
-    /** True iff a CancelToken stopped the sweep before the sink. */
+    /**
+     * True iff a CancelToken stopped the sweep.  A cancelled result
+     * defines only cancelled, completed (false) and score
+     * (kScoreInfinity); every other field is unspecified.
+     */
     bool cancelled = false;
 
     /** Race duration in clock cycles (equals score for OR type). */
@@ -77,7 +81,7 @@ struct RaceGridResult {
     /** Number of grid nodes that fired during the race. */
     size_t cellsFired = 0;
 
-    /** Events processed by the temporal simulation. */
+    /** Edge arrivals scheduled at or before the horizon. */
     uint64_t events = 0;
 
     /** Cells whose arrival time equals `cycle` (wavefront members). */
@@ -97,6 +101,9 @@ struct RaceGridResult {
     std::string wavefrontPicture(sim::Tick cycle) const;
 };
 
+/** raceEditGrid's reusable weight rows (gapCol holds b's gaps). */
+struct RaceGridScratch : SweepScratch {};
+
 /**
  * Behavioral OR-type race-grid aligner for a cost matrix.
  *
@@ -110,20 +117,10 @@ class RaceGridAligner
     explicit RaceGridAligner(bio::ScoreMatrix matrix);
 
     /**
-     * Race the two sequences on this thread's registered kernel
-     * scratch (rl/core/scratch_registry.h); const and thread-safe.
-     * fatal() on alphabet mismatch.
-     *
-     * @param horizon  Section 6 early termination: the race stops at
-     *                 cycle `horizon` instead of draining the grid.
-     *                 If the sink has not fired by then,
-     *                 result.completed is false, score is
-     *                 kScoreInfinity, and latencyCycles is the
-     *                 horizon -- the hardware abort counter.
-     * @param cancel   nullptr = never; aborts the sweep cooperatively
-     *                 at clock-cycle granularity (see raceEditGrid).
-     * @param counters nullptr = off; accumulates the kernel's
-     *                 profiling counts without changing the result.
+     * raceEditGrid() on this thread's registered kernel scratch
+     * (rl/core/scratch_registry.h); const and thread-safe.  `horizon`
+     * is the Section 6 abort counter, `cancel` and `counters` are
+     * optional (see raceEditGrid).
      */
     RaceGridResult align(const bio::Sequence &a, const bio::Sequence &b,
                          sim::Tick horizon = sim::kTickInfinity,
@@ -144,6 +141,32 @@ class RaceGridAligner
   private:
     bio::ScoreMatrix costMatrix;
 };
+
+/**
+ * OR-type race of the edit graph of (a, b) under a race-ready cost
+ * matrix: the dense row sweep (rl/core/dense_sweep.h) over the chain
+ * of b's positions, with the weight rows in the caller's scratch.
+ * Bit-identical to racing makeEditGraph(a, b, costs) with
+ * raceDag(..., RaceType::Or, horizon): same arrival grid (every cell
+ * firing at or before `horizon`), event count and sink score.  If
+ * the sink has not fired by the horizon, completed is false, score
+ * kScoreInfinity and latencyCycles the horizon.
+ *
+ * `cancel` (nullptr = never) is polled once per row: the result is
+ * either the uncancelled race's, field for field, or cancelled with
+ * completed = false, score kScoreInfinity and nothing else defined.
+ * `counters` (nullptr = off) accumulates the KernelCounters after
+ * the sweep, so the result is bit-identical either way.  fatal() on
+ * alphabet mismatch; requires a Cost-kind matrix with all finite
+ * weights >= 1.
+ */
+RaceGridResult raceEditGrid(const bio::Sequence &a,
+                            const bio::Sequence &b,
+                            const bio::ScoreMatrix &costs,
+                            sim::Tick horizon,
+                            RaceGridScratch &scratch,
+                            const CancelToken *cancel = nullptr,
+                            KernelCounters *counters = nullptr);
 
 } // namespace racelogic::core
 

@@ -4,9 +4,9 @@
  * budget can *see* and *reclaim* capacity that is otherwise pinned
  * inside worker threads.
  *
- * The race kernels keep their bucket calendars in `static
- * thread_local` scratch so steady-state batches allocate nothing per
- * comparison.  The flip side: one oversized solve grows a worker's
+ * The race kernels keep their hoisted weight rows in `static
+ * thread_local` scratch so steady-state batches allocate no kernel
+ * storage per comparison.  The flip side: one oversized solve grows a worker's
  * arena to its high-water and nothing ever gives those bytes back --
  * invisible, unbounded-in-aggregate resident memory.  The registry
  * fixes both halves:

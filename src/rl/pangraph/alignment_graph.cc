@@ -32,12 +32,10 @@ checkCompilable(const VariationGraph &graph, const bio::ScoreMatrix &race)
                              ", race matrix uses ",
                              race.alphabet().letters());
     // Plan-time weight validation the fused kernel relies on (its
-    // per-read check is the cheap fingerprint equality): the
-    // chain-detaching calendar drain needs every finite weight >= 1,
-    // gap weights must be finite (every character insertable or no
-    // walk connects the corners -- and an infinite gap would size
-    // the kernel's ring from kScoreInfinity), and no weight may
-    // exceed the bucket-calendar cap.
+    // per-read check is the cheap fingerprint equality): every finite
+    // weight >= 1, gap weights finite (every character insertable or
+    // no walk connects the corners), and no weight past the cap the
+    // materialized reference's wavefront kernel and the wire share.
     return race.validateRaceReady(core::kMaxWavefrontWeight,
                                   /*allowForbiddenPairs=*/true);
 }
@@ -58,9 +56,12 @@ compileValidated(const VariationGraph &graph, const bio::ScoreMatrix &race)
     out.firstChar.resize(segs);
     out.lastChar.resize(segs);
 
-    // Characters numbered consecutively by segment id, then offset.
+    // Characters numbered consecutively by segment in topological
+    // order (smallest id first, so id-ordered graphs keep id order),
+    // then offset: every successor then follows its predecessor, which
+    // is what lets the fused kernel settle a row in one index pass.
     CharPos next = 1;
-    for (SegmentId id = 0; id < segs; ++id) {
+    for (SegmentId id : graph.topologicalOrder()) {
         const bio::Sequence &label = graph.segment(id).label;
         out.firstChar[id] = next;
         for (size_t k = 0; k < label.size(); ++k, ++next) {
@@ -102,6 +103,7 @@ compileValidated(const VariationGraph &graph, const bio::ScoreMatrix &race)
     std::vector<uint32_t> cursor(out.succOffsets.begin(),
                                  out.succOffsets.end() - 1);
     eachSuccessor([&](CharPos from, CharPos to) {
+        rl_assert(to > from, "character numbering is not topological");
         out.succ[cursor[from]++] = to;
     });
 

@@ -23,8 +23,9 @@
  *    what the api plan cache stores per pangenome.
  *  - buildAlignmentGraph() stamps a read onto the compiled graph,
  *    producing the product graph::Dag plus its node layout.  The
- *    fused kernel (rl/pangraph/graph_align_kernel.h) races the same
- *    product straight from the compiled arrays instead.
+ *    fused kernel (rl/pangraph/graph_align_kernel.h) sweeps the same
+ *    product straight from the compiled arrays instead, which is why
+ *    compileGraph() numbers positions topologically.
  */
 
 #ifndef RACELOGIC_PANGRAPH_ALIGNMENT_GRAPH_H
@@ -86,8 +87,7 @@ struct CompiledGraph {
      * bio::ScoreMatrix::fingerprint() of the matrix the hoisted
      * weights were bound to.  Both product builders assert the
      * matrix they are handed matches: mixing a compiled view with a
-     * different matrix would blend weight tables -- and could hand
-     * the fused kernel a weight beyond its calendar ring.
+     * different matrix would blend weight tables.
      */
     uint64_t matrixFingerprint = 0;
 
@@ -100,8 +100,8 @@ struct CompiledGraph {
 /**
  * Compilability verdict for a (graph, race matrix) pair: the graph
  * must be raceable (VariationGraph::checkValid), the alphabets must
- * match, and the matrix must be race-ready under the wavefront
- * kernel's calendar cap (Cost kind, finite weights in [1, cap],
+ * match, and the matrix must be race-ready under
+ * core::kMaxWavefrontWeight (Cost kind, finite weights in [1, cap],
  * finite gaps).  The single rule book shared by compileGraph(),
  * GraphAligner construction, and api::RaceEngine plan validation.
  */

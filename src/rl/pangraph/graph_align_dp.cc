@@ -19,12 +19,14 @@ graphAlignDp(const VariationGraph &graph, const bio::Sequence &read,
     const size_t m = read.size();
     const size_t segs = graph.segmentCount();
 
-    // Character numbering: consecutive by segment id, then offset --
-    // independently recomputed here, but by construction the same
-    // convention as compileGraph(), so tables are comparable.
+    // Character numbering: consecutive by segment in topological
+    // order, then offset -- independently recomputed here, but by
+    // construction the same convention as compileGraph(), so tables
+    // are comparable.
+    const std::vector<SegmentId> order = graph.topologicalOrder();
     std::vector<CharPos> firstChar(segs);
     CharPos next = 1;
-    for (SegmentId id = 0; id < segs; ++id) {
+    for (SegmentId id : order) {
         firstChar[id] = next;
         next += static_cast<CharPos>(graph.segment(id).label.size());
     }
@@ -46,7 +48,7 @@ graphAlignDp(const VariationGraph &graph, const bio::Sequence &read,
         out.table.at(0, j) =
             relax(out.table.at(0, j - 1), costs.gap(read[j - 1]));
 
-    for (SegmentId id : graph.topologicalOrder()) {
+    for (SegmentId id : order) {
         const bio::Sequence &label = graph.segment(id).label;
         for (size_t k = 0; k < label.size(); ++k) {
             const CharPos p = firstChar[id] + static_cast<CharPos>(k);

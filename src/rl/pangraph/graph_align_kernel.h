@@ -1,41 +1,30 @@
 /**
  * @file
- * Fused sequence-to-graph wavefront kernel: race a read against the
- * pangenome without materializing the (read x graph) product DAG.
+ * Fused sequence-to-graph race: a read against the pangenome without
+ * materializing the (read x graph) product DAG.
  *
- * The paper's whole point is that the edit recurrence races as a
- * wavefront whose cost is the work actually done -- yet the
- * materialized path spends more time *building* the product
- * graph::Dag per read than racing it.  This kernel is the graph
- * analogue of core::raceEditGrid(): a Dial's-algorithm bucket sweep
- * over product states (j, p) -- j read characters consumed, graph
- * character p consumed last -- that generates each state's three
- * edge families on the fly from CompiledGraph's successor CSR and
- * the cost matrix:
+ * The graph analogue of core::raceEditGrid(): the dense row sweep
+ * (rl/core/dense_sweep.h) over product states (j, p) -- j read
+ * characters consumed, graph character p consumed last -- with the
+ * compiled predecessor CSR as the column axis.  State (j, q) settles
+ * at the earliest of its three in-edge families, read on the fly from
+ * CompiledGraph and the hoisted weight rows:
  *
  *  - graph gap (deletion):      (j, p) -> (j, q)    gapWeight[q]
- *  - substitute / match:        (j, p) -> (j+1, q)  pair(read[j], sym(q))
- *  - read gap (insertion):      (j, p) -> (j+1, p)  gap(read[j])
+ *  - substitute / match:        (j-1, p) -> (j, q)  pair(read[j-1], sym(q))
+ *  - read gap (insertion):      (j-1, q) -> (j, q)  gap(read[j-1])
  *
- * for each compiled successor q of p.  Terminal states (m, p) feed
- * the super-sink OR through zero-weight wires; the kernel folds those
- * into the sink arrival directly (a zero-weight push would violate
- * the calendar's chain-detach w >= 1 invariant), counting one event
- * per wire exactly as the DAG kernel drains them.
+ * for each compiled predecessor p of q.  compileGraph() numbers
+ * positions topologically, so one left-to-right pass per read row
+ * settles the row.  Terminal states (m, p) feed the super-sink OR
+ * through zero-weight wires; the kernel folds those in after the
+ * sweep -- one event per fired terminal, sink time their minimum.
  *
- * The outcome is bit-identical -- arrival vector (AlignmentGraph::
- * node() layout, super-sink included), event count, sink score, and
- * Section 6 horizon aborts -- to building the product with
- * buildAlignmentGraph() and racing it on core::WavefrontRaceKernel;
- * tests/pangraph_test.cc asserts the equivalence on randomized
- * graphs.  The materialized path stays as the tested reference and as
- * the gate-level synthesis input.
- *
- * Work is O(states) flat arrays plus the reusable GraphAlignScratch
- * arena (the twin of core::RaceGridScratch), so steady-state read
- * mapping -- one scratch per thread in the api batch body --
- * allocates nothing per comparison beyond the arrival vector it
- * returns.
+ * The outcome is bit-identical to building the product with
+ * buildAlignmentGraph() and racing it on core::WavefrontRaceKernel
+ * (tests/pangraph_test.cc asserts it on randomized graphs); that
+ * materialized path stays as the tested reference and the gate-level
+ * synthesis input.
  */
 
 #ifndef RACELOGIC_PANGRAPH_GRAPH_ALIGN_KERNEL_H
@@ -45,8 +34,8 @@
 
 #include "rl/bio/score_matrix.h"
 #include "rl/bio/sequence.h"
-#include "rl/core/temporal.h"
-#include "rl/core/wavefront.h"
+#include "rl/core/dense_sweep.h"
+#include "rl/core/kernel_counters.h"
 #include "rl/pangraph/alignment_graph.h"
 
 namespace racelogic::pangraph {
@@ -65,13 +54,17 @@ struct GraphRaceResult {
     /** True iff the sink fired (false under a horizon or cancel). */
     bool completed = true;
 
-    /** True iff a CancelToken stopped the sweep before the sink. */
+    /**
+     * True iff a CancelToken stopped the sweep.  A cancelled result
+     * defines only cancelled, completed (false), score and racedCost
+     * (kScoreInfinity); every other field is unspecified.
+     */
     bool cancelled = false;
 
     /** Race duration in cycles (the horizon cycle when aborted). */
     sim::Tick latencyCycles = 0;
 
-    /** Events processed by the wavefront kernel. */
+    /** Edge arrivals scheduled at or before the horizon. */
     uint64_t events = 0;
 
     /** Product-DAG nodes, and how many fired. */
@@ -82,66 +75,25 @@ struct GraphRaceResult {
     std::vector<core::TemporalValue> arrival;
 };
 
-/**
- * Reusable scratch state for raceAlignmentGrid: the shared bucket
- * calendar plus the per-read weight rows hoisted out of the sweep.
- */
-struct GraphAlignScratch {
-    core::BucketCalendar calendar;
-
-    /** Insertion-edge weight per read offset: gap(read[j]). */
-    std::vector<bio::Score> gapRead;
-
-    /**
-     * Substitution-edge weights as one flat row per read offset,
-     * indexed by graph symbol: pairRow[j * |alphabet| + sym] =
-     * pair(read[j], sym).  kScoreInfinity marks a forbidden pair
-     * (missing edge).
-     */
-    std::vector<bio::Score> pairRow;
-
-    /** Release all retained capacity (see core::BucketCalendar). */
-    void
-    shrinkToFit()
-    {
-        calendar.shrinkToFit();
-        gapRead.clear();
-        gapRead.shrink_to_fit();
-        pairRow.clear();
-        pairRow.shrink_to_fit();
-    }
-
-    /** Heap bytes currently retained across calendar and rows. */
-    size_t
-    residentBytes() const
-    {
-        return calendar.residentBytes() +
-               (gapRead.capacity() + pairRow.capacity()) *
-                   sizeof(bio::Score);
-    }
-};
+/** raceAlignmentGrid's reusable weight rows (gapCol unused: the
+ *  graph's column gaps live in CompiledGraph). */
+struct GraphAlignScratch : core::SweepScratch {};
 
 /**
- * Bucket-wavefront OR-type race of `read` against a compiled graph
- * under the race-ready cost matrix it was compiled with, without
- * materializing the product DAG.  The calendar and hoisted weight
- * rows live in (and keep the capacity of) the caller's scratch.
+ * OR-type race of `read` against a compiled graph under the
+ * race-ready cost matrix it was compiled with, with the weight rows
+ * in the caller's scratch.  Bit-identical to racing
+ * buildAlignmentGraph(compiled, read, costs) on
+ * core::WavefrontRaceKernel with the same horizon: same arrival
+ * vector, event count, sink score and Section 6 aborts (completed =
+ * false, score kScoreInfinity, latencyCycles = horizon).
  *
- * Semantically identical to racing buildAlignmentGraph(compiled,
- * read, costs) on core::WavefrontRaceKernel with the same horizon:
- * same arrival vector, same event count, same sink score.  Section 6
- * horizon aborts behave identically too (completed = false, score
- * kScoreInfinity, latencyCycles = horizon).
- *
- * `cancel` (nullptr = never) is polled once per simulated clock
- * cycle; a cancelled race comes back completed = false with
- * cancelled = true, score kScoreInfinity, and latencyCycles the last
- * cycle swept -- the same typed-abort shape as a horizon trip.
- *
- * `counters` (nullptr = off) accumulates the kernel's profiling
- * counts -- events drained, buckets swept, arena high-water, states
- * fired, cancel/horizon aborts.  It is touched only after the drain,
- * so the raced result is bit-identical either way.
+ * `cancel` (nullptr = never) is polled once per read row: the result
+ * is either the uncancelled race's, field for field, or cancelled
+ * with completed = false, score and racedCost kScoreInfinity and
+ * nothing else defined.  `counters` (nullptr = off) accumulates the
+ * KernelCounters after the sweep, so the result is bit-identical
+ * either way.
  *
  * `costs` must be the matrix `compiled` was bound to (GraphAligner
  * guarantees this); requires Cost kind with all finite weights >= 1

@@ -57,10 +57,10 @@ GraphAligner::tryMake(std::shared_ptr<const VariationGraph> graph,
     }
 
     // Plan-time validation of the race-ready weights -- finite gaps,
-    // everything >= 1 and under the kernel's bucket-calendar cap --
-    // lives in checkCompilable(), the one place every racing path
-    // passes through, so bad matrices fail here with a diagnostic
-    // instead of deep inside the wavefront kernel.  (For similarity
+    // everything >= 1 and under core::kMaxWavefrontWeight -- lives in
+    // checkCompilable(), the one place every racing path passes
+    // through, so bad matrices fail here with a diagnostic instead of
+    // deep inside a kernel.  (For similarity
     // inputs that overflow the cap, lowering lambda shrinks the
     // converted weights.)
     const bio::ScoreMatrix &race =
@@ -94,9 +94,9 @@ GraphAligner::align(const bio::Sequence &read, sim::Tick horizon,
                     core::KernelCounters *counters) const
 {
     // One kernel scratch per thread: align() stays const and
-    // thread-safe, and repeated aligns stop re-allocating the
-    // calendar arena.  The registered arena is visible to (and
-    // shrinkable by) the serving memory budget between solves.
+    // thread-safe, and repeated aligns stop re-allocating the weight
+    // rows.  The registered scratch is visible to (and shrinkable by)
+    // the serving memory budget between solves.
     core::ThreadScratch<GraphAlignScratch> scratch;
     return align(read, horizon, scratch.get(), cancel, counters);
 }

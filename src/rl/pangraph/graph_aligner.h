@@ -6,7 +6,7 @@
  * workload: construction validates the graph, converts a similarity
  * matrix to race-ready costs (Section 5) when needed, and compiles
  * the character-level view once.  align() then races the read
- * against the compiled CSRs on the fused wavefront kernel
+ * against the compiled CSRs on the fused dense sweep
  * (rl/pangraph/graph_align_kernel.h) -- no product DAG is ever
  * materialized on this path -- const, on one kernel scratch per
  * thread, so one aligner serves many reads concurrently (the api
@@ -88,12 +88,12 @@ class GraphAligner
 
     /**
      * Scratch-reuse overload for tight read-mapping loops: the fused
-     * kernel's calendar and hoisted weight rows live in the caller's
-     * scratch (one per thread), so repeated aligns stop allocating
-     * kernel storage.  `cancel` (nullptr = never) aborts the sweep
-     * cooperatively at clock-cycle granularity (see
-     * raceAlignmentGrid).  `counters` (nullptr = off) accumulates the
-     * kernel's profiling counts without changing the raced result.
+     * kernel's hoisted weight rows live in the caller's scratch (one
+     * per thread), so repeated aligns stop allocating kernel
+     * storage.  `cancel` (nullptr = never) aborts the sweep
+     * cooperatively between read rows (see raceAlignmentGrid).
+     * `counters` (nullptr = off) accumulates the kernel's profiling
+     * counts without changing the raced result.
      */
     GraphRaceResult align(const bio::Sequence &read, sim::Tick horizon,
                           GraphAlignScratch &scratch,

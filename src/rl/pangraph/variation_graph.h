@@ -41,7 +41,8 @@ constexpr SegmentId kNoSegment = ~SegmentId(0);
 /**
  * Character position in the expanded (character-level) graph: 0 is
  * the virtual start before any base; characters are numbered 1..K
- * consecutively by segment id, then offset within the label.  Both
+ * consecutively by segment in topologicalOrder(), then offset within
+ * the label, so every successor follows its predecessor.  Both
  * the product-DAG compiler (rl/pangraph/alignment_graph.h) and the
  * DP oracle (rl/pangraph/graph_align_dp.h) use this numbering, so
  * their per-state tables are directly comparable.

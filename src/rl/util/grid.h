@@ -62,6 +62,9 @@ class Grid
     /** Flat row-major storage (for iteration / serialization). */
     const std::vector<T> &flat() const { return cells; }
 
+    /** The same storage as a raw array (for dense kernels). */
+    T *data() { return cells.data(); }
+
     bool
     operator==(const Grid &other) const
     {

@@ -297,6 +297,50 @@ TEST(RaceGrid, UncancelledTokenIsBitIdenticalToPlainRace)
     }
 }
 
+TEST(RaceGrid, DeadlineEitherCancelsOrLeavesTheRaceBitIdentical)
+{
+    // The cancellation contract: a deadline that trips mid-race gives
+    // a typed abort, never a truncated "completed" race.  Expensive
+    // gaps leave most of the grid to fire after the diagonal reaches
+    // the sink, so deadlines across the race's duration land on both
+    // sides of the sink's firing.
+    ScoreMatrix m = ScoreMatrix::dnaShortestPath();
+    m.setAllGaps(20);
+    RaceGridAligner aligner(m);
+    util::Rng rng(13);
+    const Sequence a = Sequence::random(rng, Alphabet::dna(), 400);
+    core::RaceGridScratch scratch;
+
+    using Clock = core::CancelToken::Clock;
+    const Clock::time_point start = Clock::now();
+    const RaceGridResult plain =
+        aligner.align(a, a, sim::kTickInfinity, scratch);
+    const Clock::duration span = Clock::now() - start;
+    ASSERT_TRUE(plain.completed);
+
+    constexpr int kDeadlines = 200;
+    int cancelled = 0;
+    for (int k = 0; k < kDeadlines; ++k) {
+        const core::CancelToken token(Clock::now() +
+                                      span * k / (kDeadlines / 2));
+        const RaceGridResult r =
+            aligner.align(a, a, sim::kTickInfinity, scratch, &token);
+        if (r.cancelled) {
+            ++cancelled;
+            EXPECT_FALSE(r.completed) << "deadline " << k;
+            EXPECT_EQ(r.score, bio::kScoreInfinity) << "deadline " << k;
+            continue;
+        }
+        EXPECT_TRUE(r.completed) << "deadline " << k;
+        EXPECT_EQ(r.score, plain.score) << "deadline " << k;
+        EXPECT_EQ(r.latencyCycles, plain.latencyCycles);
+        EXPECT_EQ(r.events, plain.events) << "deadline " << k;
+        EXPECT_EQ(r.cellsFired, plain.cellsFired) << "deadline " << k;
+        EXPECT_TRUE(r.arrival == plain.arrival) << "deadline " << k;
+    }
+    EXPECT_GT(cancelled, 0); // deadline 0 has passed by the first poll
+}
+
 TEST(RaceGridDeath, SimilarityMatrixRejected)
 {
     EXPECT_DEATH(RaceGridAligner(ScoreMatrix::blosum62()),

@@ -4,8 +4,8 @@
  * kernel, the heap-scheduled event-queue reference, and the DP oracle
  * must agree node-for-node on randomized DAGs and sequences -- Or and
  * And races, with and without an early-termination horizon -- and the
- * grid-direct kernel must reproduce the materialized edit-graph race
- * exactly (arrival grids and event counts included).
+ * dense-sweep grid kernel must reproduce the materialized edit-graph
+ * race exactly (arrival grids and event counts included).
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include "rl/api/api.h"
 #include "rl/bio/align_dp.h"
 #include "rl/bio/edit_graph.h"
+#include "rl/core/kernel_counters.h"
 #include "rl/core/race_grid.h"
 #include "rl/core/race_network.h"
 #include "rl/core/wavefront.h"
@@ -192,36 +193,50 @@ TEST_P(GridKernel, MatchesMaterializedEditGraphRaceExactly)
     ScoreMatrix m = GetParam() % 2 == 0
                         ? ScoreMatrix::dnaShortestPathInfMismatch()
                         : ScoreMatrix::dnaShortestPath();
-    Sequence a = Sequence::random(rng, Alphabet::dna(),
-                                  1 + rng.index(12));
-    Sequence b = Sequence::random(rng, Alphabet::dna(),
-                                  1 + rng.index(12));
-
-    core::RaceGridScratch scratch;
-    core::RaceGridResult grid =
-        core::raceEditGrid(a, b, m, sim::kTickInfinity, scratch);
+    // Lengths from 0: an empty string races a single row or column.
+    Sequence a = Sequence::random(rng, Alphabet::dna(), rng.index(13));
+    Sequence b = Sequence::random(rng, Alphabet::dna(), rng.index(13));
 
     bio::EditGraph eg = bio::makeEditGraph(a, b, m);
-    RaceOutcome reference = core::raceDagEventDriven(
-        eg.dag, {eg.source}, RaceType::Or);
+    core::RaceGridScratch scratch;
+    const sim::Tick full =
+        core::raceEditGrid(a, b, m, sim::kTickInfinity, scratch)
+            .latencyCycles;
+    for (sim::Tick horizon :
+         {sim::Tick(0), sim::Tick(rng.index(full + 1)), full,
+          sim::kTickInfinity}) {
+        SCOPED_TRACE(testing::Message() << "horizon " << horizon);
+        core::KernelCounters counters;
+        core::RaceGridResult grid = core::raceEditGrid(
+            a, b, m, horizon, scratch, nullptr, &counters);
+        RaceOutcome reference = core::raceDagEventDriven(
+            eg.dag, {eg.source}, RaceType::Or, horizon);
 
-    EXPECT_EQ(grid.events, reference.events);
-    size_t fired = 0;
-    for (size_t i = 0; i <= eg.rows; ++i) {
-        for (size_t j = 0; j <= eg.cols; ++j) {
-            core::TemporalValue v = reference.at(eg.node(i, j));
-            if (v.fired()) {
-                ++fired;
-                EXPECT_EQ(grid.arrival.at(i, j), v.time())
-                    << "(" << i << "," << j << ")";
-            } else {
-                EXPECT_EQ(grid.arrival.at(i, j), sim::kTickInfinity);
+        EXPECT_EQ(grid.events, reference.events);
+        size_t fired = 0;
+        for (size_t i = 0; i <= eg.rows; ++i) {
+            for (size_t j = 0; j <= eg.cols; ++j) {
+                core::TemporalValue v = reference.at(eg.node(i, j));
+                if (v.fired()) {
+                    ++fired;
+                    EXPECT_EQ(grid.arrival.at(i, j), v.time())
+                        << "(" << i << "," << j << ")";
+                } else {
+                    EXPECT_EQ(grid.arrival.at(i, j), sim::kTickInfinity);
+                }
             }
         }
+        EXPECT_EQ(grid.cellsFired, fired);
+        EXPECT_EQ(counters.events, grid.events);
+        EXPECT_EQ(counters.lanesOccupied, grid.cellsFired);
+        if (horizon >= full) {
+            EXPECT_TRUE(grid.completed);
+            EXPECT_EQ(grid.score, bio::globalScore(a, b, m));
+        } else {
+            EXPECT_FALSE(grid.completed);
+            EXPECT_EQ(counters.horizonAborts, 1u);
+        }
     }
-    EXPECT_EQ(grid.cellsFired, fired);
-    EXPECT_TRUE(grid.completed);
-    EXPECT_EQ(grid.score, bio::globalScore(a, b, m));
 }
 
 TEST_P(GridKernel, HorizonMatchesFullRacePrefix)

@@ -473,9 +473,8 @@ TEST(GraphAlign, CompileGraphValidatesWeightsForDirectCallersTyped)
 TEST(GraphAlignDeath, RejectsMatrixMismatchedWithCompiledView)
 {
     // The compiled view hoists gap weights from one matrix; handing
-    // either product builder a different matrix must die (a foreign
-    // matrix could even size the fused kernel's calendar ring below
-    // a hoisted weight).
+    // either product builder a different matrix must die (the sweep
+    // would mix two weight tables).
     auto graph = sampleGraph();
     GraphAligner aligner(graph, ScoreMatrix::dnaShortestPath());
     ScoreMatrix other = ScoreMatrix::uniform(
@@ -638,6 +637,54 @@ TEST(GraphAlignFused, UncancelledTokenIsBitIdenticalToPlainAlign)
     ASSERT_EQ(r.arrival.size(), plain.arrival.size());
     for (size_t n = 0; n < r.arrival.size(); ++n)
         EXPECT_EQ(r.arrival[n].rawTime(), plain.arrival[n].rawTime());
+}
+
+TEST(GraphAlignFused, DeadlineEitherCancelsOrLeavesTheRaceBitIdentical)
+{
+    // The graph twin of the pairwise cancellation contract: a deadline
+    // that trips mid-race gives a typed abort, never a truncated
+    // "completed" race.  A 400 nt read raced against the same 400 nt
+    // reference, with expensive gaps so most states fire late.
+    ScoreMatrix costs = ScoreMatrix::dnaShortestPath();
+    costs.setAllGaps(20);
+    util::Rng rng(13);
+    const Sequence read = Sequence::random(rng, Alphabet::dna(), 400);
+    auto graph = std::make_shared<VariationGraph>(Alphabet::dna());
+    graph->addSegment("ref", read);
+    GraphAligner aligner(graph, costs);
+    pangraph::GraphAlignScratch scratch;
+
+    using Clock = core::CancelToken::Clock;
+    const Clock::time_point start = Clock::now();
+    const pangraph::GraphRaceResult plain =
+        aligner.align(read, sim::kTickInfinity, scratch);
+    const Clock::duration span = Clock::now() - start;
+    ASSERT_TRUE(plain.completed);
+
+    constexpr int kDeadlines = 200;
+    int cancelled = 0;
+    for (int k = 0; k < kDeadlines; ++k) {
+        const core::CancelToken token(Clock::now() +
+                                      span * k / (kDeadlines / 2));
+        const pangraph::GraphRaceResult r =
+            aligner.align(read, sim::kTickInfinity, scratch, &token);
+        if (r.cancelled) {
+            ++cancelled;
+            EXPECT_FALSE(r.completed) << "deadline " << k;
+            EXPECT_EQ(r.score, bio::kScoreInfinity) << "deadline " << k;
+            EXPECT_EQ(r.racedCost, bio::kScoreInfinity);
+            continue;
+        }
+        EXPECT_TRUE(r.completed) << "deadline " << k;
+        EXPECT_EQ(r.score, plain.score) << "deadline " << k;
+        EXPECT_EQ(r.racedCost, plain.racedCost) << "deadline " << k;
+        EXPECT_EQ(r.latencyCycles, plain.latencyCycles);
+        EXPECT_EQ(r.events, plain.events) << "deadline " << k;
+        EXPECT_EQ(r.nodes, plain.nodes);
+        EXPECT_EQ(r.cellsFired, plain.cellsFired) << "deadline " << k;
+        EXPECT_TRUE(r.arrival == plain.arrival) << "deadline " << k;
+    }
+    EXPECT_GT(cancelled, 0); // deadline 0 has passed by the first poll
 }
 
 TEST(GraphAlignFused, ScratchReuseIsBitIdenticalAndBuildsNoProduct)

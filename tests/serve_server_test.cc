@@ -371,8 +371,8 @@ TEST(ServeServer, MetricsOverWireStaysCoherentWithStats)
     ASSERT_NE(requests, nullptr);
     EXPECT_GE(requests->value, 4u);
 
-    // Kernel profiling flowed through the wire: the races drained
-    // events through real Dial buckets.
+    // Kernel profiling flowed through the wire: the races counted
+    // their scheduled arrivals.
     const telemetry::CounterSnapshot *events =
         snap.counter("rl_kernel_events_total");
     ASSERT_NE(events, nullptr);
