@@ -9,6 +9,8 @@
 #include <benchmark/benchmark.h>
 
 #include "rl/api/api.h"
+#include "rl/apps/dtw.h"
+#include "rl/bio/affine.h"
 #include "rl/bio/align_dp.h"
 #include "rl/bio/edit_graph.h"
 #include "rl/core/generalized.h"
@@ -257,6 +259,76 @@ BM_ApiEngineSolveCached(benchmark::State &state)
                             int64_t(n) * int64_t(n));
 }
 BENCHMARK(BM_ApiEngineSolveCached)->Arg(16)->Arg(64)->Arg(256);
+
+void
+BM_ApiEngineSolveDtw(benchmark::State &state)
+{
+    // A DTW solve end to end through the facade: the lattice sweep
+    // plus result shaping, against BM_DtwDp's textbook DP.
+    size_t n = size_t(state.range(0));
+    util::Rng rng(10);
+    auto x = apps::quantizedSine(rng, n, 2.0, 40.0, 0.0, 2.0);
+    auto y = apps::quantizedSine(rng, n, 2.0, 40.0, 0.5, 2.0);
+    api::EngineConfig config;
+    config.withEstimates = false;
+    api::RaceEngine engine(config);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            engine.solve(api::RaceProblem::dtw(x, y)).score);
+    state.SetItemsProcessed(int64_t(state.iterations()) *
+                            int64_t(n) * int64_t(n));
+}
+BENCHMARK(BM_ApiEngineSolveDtw)->Arg(32);
+
+void
+BM_DtwDp(benchmark::State &state)
+{
+    size_t n = size_t(state.range(0));
+    util::Rng rng(10);
+    auto x = apps::quantizedSine(rng, n, 2.0, 40.0, 0.0, 2.0);
+    auto y = apps::quantizedSine(rng, n, 2.0, 40.0, 0.5, 2.0);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(apps::dtwDistance(x, y));
+    state.SetItemsProcessed(int64_t(state.iterations()) *
+                            int64_t(n) * int64_t(n));
+}
+BENCHMARK(BM_DtwDp)->Arg(32);
+
+void
+BM_ApiEngineSolveAffine(benchmark::State &state)
+{
+    // An affine (Gotoh) solve end to end through the facade, against
+    // BM_AffineDp's three-state DP.
+    size_t n = size_t(state.range(0));
+    auto [a, b] = randomPair(11, n);
+    ScoreMatrix m = ScoreMatrix::dnaShortestPath();
+    api::EngineConfig config;
+    config.withEstimates = false;
+    api::RaceEngine engine(config);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            engine
+                .solve(api::RaceProblem::affineAlignment(
+                    m, bio::AffineGapCosts{3, 1}, a, b))
+                .score);
+    state.SetItemsProcessed(int64_t(state.iterations()) *
+                            int64_t(n) * int64_t(n));
+}
+BENCHMARK(BM_ApiEngineSolveAffine)->Arg(32);
+
+void
+BM_AffineDp(benchmark::State &state)
+{
+    size_t n = size_t(state.range(0));
+    auto [a, b] = randomPair(11, n);
+    ScoreMatrix m = ScoreMatrix::dnaShortestPath();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            bio::affineGlobalScore(a, b, m, bio::AffineGapCosts{3, 1}));
+    state.SetItemsProcessed(int64_t(state.iterations()) *
+                            int64_t(n) * int64_t(n));
+}
+BENCHMARK(BM_AffineDp)->Arg(32);
 
 void
 BM_SolveBatchThreads(benchmark::State &state)

@@ -6,9 +6,9 @@
 
 #include "rl/circuit/compiled_sim.h"
 #include "rl/core/generalized.h"
+#include "rl/core/lattice_sweep.h"
 #include "rl/core/race_grid.h"
 #include "rl/core/race_network.h"
-#include "rl/core/wavefront.h"
 #include "rl/pangraph/alignment_graph.h"
 #include "rl/pangraph/graph_aligner.h"
 #include "rl/systolic/lipton_lopresti.h"
@@ -616,20 +616,24 @@ RaceEngine::solveGridFamily(const RaceProblem &problem)
 namespace {
 
 /**
- * Race a DAG problem behaviorally and, on the gate-level backend,
- * compile it to a netlist, replay the race on real gates, and
- * cross-check the sink arrival.  Shared by Dtw / DagPath / Affine.
+ * Shape a DAG or lattice race outcome into `result`: the sink's
+ * arrival, the race's counts and its wall-time estimate.  A
+ * cancelled outcome defines only cancelled, completed (false) and
+ * racedCost (kScoreInfinity).
  */
 void
-raceDagProblem(const graph::Dag &dag,
-               const std::vector<graph::NodeId> &sources,
-               graph::NodeId sink, core::RaceType type,
-               const EngineConfig &cfg, RaceResult &result)
+shapeRaceOutcome(core::RaceOutcome outcome, graph::NodeId sink,
+                 const EngineConfig &cfg, RaceResult &result)
 {
-    core::RaceOutcome outcome = core::raceDag(dag, sources, type);
+    if (outcome.cancelled) {
+        result.cancelled = true;
+        result.completed = false;
+        result.racedCost = bio::kScoreInfinity;
+        return;
+    }
     core::TemporalValue arrival = outcome.at(sink);
     result.events = outcome.events;
-    result.nodes = dag.nodeCount();
+    result.nodes = outcome.firing.size();
     result.completed = arrival.fired();
     if (arrival.fired()) {
         result.racedCost = static_cast<bio::Score>(arrival.time());
@@ -643,32 +647,43 @@ raceDagProblem(const graph::Dag &dag,
         result.nodeArrival.begin(), result.nodeArrival.end(),
         [](const core::TemporalValue &v) { return v.fired(); }));
 
-    const tech::CellLibrary &lib = *cfg.library;
     if (cfg.withEstimates) {
         HardwareEstimate est;
-        est.wallTimeNs = raceWallNs(lib, result.latencyCycles);
+        est.wallTimeNs = raceWallNs(*cfg.library, result.latencyCycles);
         result.estimate = est;
     }
+}
 
-    if (cfg.backend == BackendKind::GateLevel && arrival.fired()) {
-        core::RaceCircuit compiled =
-            core::compileRaceCircuit(dag, sources, type);
-        circuit::CompiledSim sim(compiled.netlist);
-        for (circuit::NetId input : compiled.sourceInputs)
-            sim.setInput(input, true);
-        auto gateArrival =
-            sim.runUntil(compiled.nodeNets[sink], true,
-                         static_cast<uint64_t>(result.racedCost) + 4);
-        rl_assert(gateArrival.has_value() &&
-                      static_cast<bio::Score>(*gateArrival) ==
-                          result.racedCost,
-                  "gate-level race disagrees with the event-driven "
-                  "model at the sink");
-        if (cfg.withEstimates && result.estimate)
-            priceFromNetlist(lib, compiled.netlist,
-                             tech::energyFromActivityJ(lib, sim.activity()),
-                             *result.estimate);
-    }
+/**
+ * The GateLevel half of a completed DAG or lattice race: compile
+ * `dag` to a netlist, replay the race on real gates, cross-check the
+ * sink against result.racedCost, and price the estimate from the
+ * netlist.
+ */
+void
+replayOnGates(const graph::Dag &dag,
+              const std::vector<graph::NodeId> &sources,
+              graph::NodeId sink, core::RaceType type,
+              const EngineConfig &cfg, RaceResult &result)
+{
+    core::RaceCircuit compiled =
+        core::compileRaceCircuit(dag, sources, type);
+    circuit::CompiledSim sim(compiled.netlist);
+    for (circuit::NetId input : compiled.sourceInputs)
+        sim.setInput(input, true);
+    auto gateArrival =
+        sim.runUntil(compiled.nodeNets[sink], true,
+                     static_cast<uint64_t>(result.racedCost) + 4);
+    rl_assert(gateArrival.has_value() &&
+                  static_cast<bio::Score>(*gateArrival) ==
+                      result.racedCost,
+              "gate-level race disagrees with the behavioral model at "
+              "the sink");
+    const tech::CellLibrary &lib = *cfg.library;
+    if (cfg.withEstimates && result.estimate)
+        priceFromNetlist(lib, compiled.netlist,
+                         tech::energyFromActivityJ(lib, sim.activity()),
+                         *result.estimate);
 }
 
 } // namespace
@@ -680,14 +695,25 @@ RaceEngine::solveDtw(const RaceProblem &problem)
               "the systolic baseline only aligns strings; race DTW on "
               "the behavioral or gate-level backend");
 
-    apps::DtwGraph lattice = apps::makeDtwGraph(problem.x, problem.y);
-
     RaceResult result;
     result.kind = ProblemKind::Dtw;
     result.backend = cfg.backend;
-    raceDagProblem(lattice.dag, {lattice.source}, lattice.sink,
-                   core::RaceType::Or, cfg, result);
-    rl_assert(result.completed, "DTW race never finished");
+    // The sink is warp cell (|x|, |y|), DtwGraph::node()'s last cell.
+    const auto sink = static_cast<graph::NodeId>(
+        problem.x.size() * problem.y.size() - 1);
+    shapeRaceOutcome(core::sweepDtwLattice(problem.x, problem.y,
+                                           problem.cancel,
+                                           problem.counters),
+                     sink, cfg, result);
+    if (!result.cancelled) {
+        rl_assert(result.completed, "DTW race never finished");
+        if (cfg.backend == BackendKind::GateLevel) {
+            apps::DtwGraph lattice =
+                apps::makeDtwGraph(problem.x, problem.y);
+            replayOnGates(lattice.dag, {lattice.source}, lattice.sink,
+                          core::RaceType::Or, cfg, result);
+        }
+    }
     result.score = result.racedCost;
     applyThresholdVerdict(cfg.threshold, result);
     return result;
@@ -702,13 +728,17 @@ RaceEngine::solveDagPath(const RaceProblem &problem)
 
     const bool shortest =
         problem.objective == graph::Objective::Shortest;
+    const core::RaceType type =
+        shortest ? core::RaceType::Or : core::RaceType::And;
 
     RaceResult result;
     result.kind = ProblemKind::DagPath;
     result.backend = cfg.backend;
-    raceDagProblem(*problem.dag, problem.sources, problem.sink,
-                   shortest ? core::RaceType::Or : core::RaceType::And,
-                   cfg, result);
+    shapeRaceOutcome(core::raceDag(*problem.dag, problem.sources, type),
+                     problem.sink, cfg, result);
+    if (cfg.backend == BackendKind::GateLevel && result.completed)
+        replayOnGates(*problem.dag, problem.sources, problem.sink, type,
+                      cfg, result);
     result.score = result.completed ? result.racedCost
                                     : bio::kScoreInfinity;
     if (shortest) {
@@ -729,17 +759,30 @@ RaceEngine::solveAffine(const RaceProblem &problem)
               "affine alignments on the behavioral or gate-level "
               "backend");
 
-    bio::AffineEditGraph lattice = bio::makeAffineEditGraph(
-        *problem.a, *problem.b, *problem.matrix, problem.gaps);
-
+    const bio::Sequence &a = *problem.a;
+    const bio::Sequence &b = *problem.b;
     RaceResult result;
     result.kind = ProblemKind::AffineAlignment;
     result.backend = cfg.backend;
-    raceDagProblem(lattice.dag, {lattice.source}, lattice.sink,
-                   core::RaceType::Or, cfg, result);
-    rl_assert(result.completed,
-              "affine race never finished; finite gaps should always "
-              "connect the corners");
+    // The collector sink follows the three (|a|+1) x (|b|+1) planes.
+    const auto sink =
+        static_cast<graph::NodeId>(3 * (a.size() + 1) * (b.size() + 1));
+    shapeRaceOutcome(core::sweepAffineLattice(a, b, *problem.matrix,
+                                              problem.gaps,
+                                              problem.cancel,
+                                              problem.counters),
+                     sink, cfg, result);
+    if (!result.cancelled) {
+        rl_assert(result.completed,
+                  "affine race never finished; finite gaps should "
+                  "always connect the corners");
+        if (cfg.backend == BackendKind::GateLevel) {
+            bio::AffineEditGraph lattice = bio::makeAffineEditGraph(
+                a, b, *problem.matrix, problem.gaps);
+            replayOnGates(lattice.dag, {lattice.source}, lattice.sink,
+                          core::RaceType::Or, cfg, result);
+        }
+    }
     result.score = result.racedCost;
     applyThresholdVerdict(cfg.threshold, result);
     return result;

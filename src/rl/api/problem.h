@@ -91,15 +91,14 @@ struct RaceProblem {
 
     /**
      * Optional cooperative-cancellation token, polled by the
-     * Behavioral bucket-sweep kernels (grid family and GraphAlign)
-     * once per simulated clock cycle.  Non-owning: the caller keeps
-     * the token alive across the solve.  A cancelled race returns a
-     * typed abort -- completed = false, cancelled = true, score
-     * kScoreInfinity -- instead of a wasted full solve.  Kinds that
-     * race on other substrates (DagPath, Dtw, Affine lattices) and
-     * the GateLevel cross-check path ignore it.  Not part of
-     * shapeKey(): cancellation is a run-time property, not a fabric
-     * shape.
+     * Behavioral sweep kernels (grid family, GraphAlign, and the Dtw
+     * and Affine lattices) once per row.  Non-owning: the caller
+     * keeps the token alive across the solve.  A cancelled race
+     * returns a typed abort -- completed = false, cancelled = true,
+     * score kScoreInfinity -- instead of a wasted full solve.
+     * DagPath races and the GateLevel cross-check path ignore it.
+     * Not part of shapeKey(): cancellation is a run-time property,
+     * not a fabric shape.
      */
     const core::CancelToken *cancel = nullptr;
 
@@ -130,7 +129,11 @@ struct RaceProblem {
                                        bio::AffineGapCosts gaps,
                                        bio::Sequence a, bio::Sequence b);
 
-    /** Dynamic time warping of two non-empty quantized signals. */
+    /**
+     * Dynamic time warping of two non-empty quantized signals.  The
+     * longest warp path's worst cost, (|x| + |y| - 1) x the sample
+     * range, must stay below kScoreInfinity.
+     */
     static RaceProblem dtw(std::vector<apps::Sample> x,
                            std::vector<apps::Sample> y);
 

@@ -1,5 +1,6 @@
 #include "rl/api/validate.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "rl/bio/score_convert.h"
@@ -46,6 +47,34 @@ checkSequenceAlphabet(const bio::Sequence &sequence,
                              sequence.alphabet().letters(),
                              "', the matrix uses '",
                              matrix.alphabet().letters(), "'");
+    return Status();
+}
+
+/**
+ * A warp path visits at most |x| + |y| - 1 cells, each costing at
+ * most the signals' sample range, so that product bounds every DTW
+ * firing time; at kScoreInfinity the race's sums would overflow.
+ */
+Status
+checkWarpCost(const std::vector<apps::Sample> &x,
+              const std::vector<apps::Sample> &y)
+{
+    apps::Sample lo = x.front(), hi = x.front();
+    for (const std::vector<apps::Sample> *signal : {&x, &y})
+        for (apps::Sample v : *signal) {
+            lo = std::min(lo, v);
+            hi = std::max(hi, v);
+        }
+    // Unsigned, so the full int64 range's span does not overflow.
+    const uint64_t range =
+        static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+    const uint64_t bound = satMul(x.size() + y.size() - 1, range);
+    if (bound >= static_cast<uint64_t>(bio::kScoreInfinity))
+        return Status::error(ErrorCode::InvalidArgument,
+                             "DTW samples span ", range, " over ",
+                             x.size(), " x ", y.size(),
+                             " samples; a warp path could cost ", bound,
+                             ", past the race's range");
     return Status();
 }
 
@@ -241,7 +270,7 @@ checkRuntimeInputs(const RaceProblem &problem)
         if (problem.x.empty() || problem.y.empty())
             return Status::error(ErrorCode::InvalidArgument,
                                  "DTW of an empty signal");
-        return Status();
+        return checkWarpCost(problem.x, problem.y);
     case ProblemKind::DagPath: {
         const size_t n = problem.dag->nodeCount();
         if (problem.sources.empty())
@@ -302,10 +331,10 @@ validateProblem(const RaceProblem &problem, const ProblemLimits &limits)
         // discipline here instead of asserting inside.
         return checkRaceMatrix(*problem.matrix, problem.lambda);
     case ProblemKind::AffineAlignment: {
-        // The 3-layer lattice feeds raceDag(), which tolerates any
-        // non-negative weight (oversized graphs fall back to the
-        // event kernel) -- but pair weights must be costs: finite
-        // entries >= 0, kScoreInfinity meaning "no edge".
+        // The 3-layer lattice sweep takes any weight size, but pair
+        // weights must be race-ready costs: finite entries >= 1 (a
+        // delay of at least one cycle), kScoreInfinity meaning "no
+        // edge".
         const bio::ScoreMatrix &costs = *problem.matrix;
         const size_t n = costs.alphabet().size();
         for (size_t i = 0; i < n; ++i)
@@ -313,7 +342,7 @@ validateProblem(const RaceProblem &problem, const ProblemLimits &limits)
                 const bio::Score w =
                     costs.pair(static_cast<bio::Symbol>(i),
                                static_cast<bio::Symbol>(j));
-                if (w < 0)
+                if (w < 1)
                     return Status::error(
                         ErrorCode::InvalidArgument,
                         "affine pair weight '",
@@ -322,8 +351,9 @@ validateProblem(const RaceProblem &problem, const ProblemLimits &limits)
                         "' x '",
                         costs.alphabet().letter(
                             static_cast<bio::Symbol>(j)),
-                        "' is negative (", w,
-                        "); race costs are delays");
+                        "' is ", w,
+                        "; race costs are delays of at least one "
+                        "cycle");
             }
         return Status();
     }

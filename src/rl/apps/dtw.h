@@ -9,9 +9,12 @@
  * OR-type construction races it unchanged: the node cost |x_i - y_j|
  * becomes the weight of every edge *entering* cell (i, j), and
  * equal samples yield zero-weight edges, which are plain wires in
- * hardware.  This module gives the reference DP, the DAG builder,
- * and a small signal workload generator; the race itself runs
- * through api::RaceEngine::solve(api::RaceProblem::dtw(x, y)).
+ * hardware.  This module gives the reference DP, the DAG builder
+ * (the gate-level synthesis input and the test oracle), and a small
+ * signal workload generator.  The race itself runs through
+ * api::RaceEngine::solve(api::RaceProblem::dtw(x, y)) on the dense
+ * lattice sweep core::sweepDtwLattice(), which numbers nodes like
+ * DtwGraph::node() without building the graph.
  */
 
 #ifndef RACELOGIC_APPS_DTW_H

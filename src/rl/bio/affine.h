@@ -8,10 +8,13 @@
  * per cell -- M (last step aligned a pair), Ix (gap in b), Iy (gap
  * in a).  That is still a DAG: three nodes per grid cell with
  * open/extend-weighted edges, so Race Logic accelerates it with the
- * same OR-type construction as the linear-gap case.  This module
- * provides the reference Gotoh DP and the 3-layer edit-graph
- * builder; rl/core racing machinery runs it unchanged -- a working
- * instance of the paper's "not limited to" claim.
+ * same OR-type construction as the linear-gap case -- a working
+ * instance of the paper's "not limited to" claim.  This module
+ * provides the reference Gotoh DP and the 3-layer edit-graph builder
+ * (the gate-level synthesis input and the test oracle); the engine
+ * races the lattice on core::sweepAffineLattice()
+ * (rl/core/lattice_sweep.h), which numbers nodes like
+ * AffineEditGraph::node() without building the graph.
  */
 
 #ifndef RACELOGIC_BIO_AFFINE_H

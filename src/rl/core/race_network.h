@@ -44,7 +44,7 @@ enum class RaceType {
     And, ///< last arrival wins: max / longest path
 };
 
-/** Outcome of an event-driven race. */
+/** Outcome of a DAG race (event-driven, or a lattice sweep). */
 struct RaceOutcome {
     /** Per-node firing time ("never" where the signal can't reach). */
     std::vector<TemporalValue> firing;
@@ -54,6 +54,13 @@ struct RaceOutcome {
 
     /** Latest firing time among fired nodes (total race duration). */
     sim::Tick horizon = 0;
+
+    /**
+     * True iff a CancelToken stopped a lattice sweep
+     * (rl/core/lattice_sweep.h); then no other field is defined.
+     * raceDag() takes no token and never sets it.
+     */
+    bool cancelled = false;
 
     TemporalValue
     at(graph::NodeId node) const

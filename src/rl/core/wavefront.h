@@ -13,12 +13,12 @@
  * arrays, no per-event allocation.
  *
  * WavefrontRaceKernel races any graph::Dag (Or = min, And = max via
- * in-degree countdown) under a Section 6 horizon: DTW and affine
- * lattices, DAG paths, and the materialized edit and product graphs
- * the grid kernels are checked against.  The grid kernels need no
- * clock -- there the firing cycle is the DP value -- and run the
- * dense row sweep (rl/core/dense_sweep.h).  Outcomes, event counts
- * included, are bit-identical to the heap reference
+ * in-degree countdown) under a Section 6 horizon: DAG paths, and the
+ * materialized edit, product, DTW and affine graphs the sweeps are
+ * checked against.  Grids and lattices need no clock -- there the
+ * firing cycle is the DP value -- and run dense row sweeps
+ * (rl/core/dense_sweep.h, rl/core/lattice_sweep.h).  Outcomes, event
+ * counts included, are bit-identical to the heap reference
  * raceDagEventDriven() (tests/core_wavefront_test.cc).
  */
 

@@ -180,6 +180,44 @@ TEST(ApiEngine, AffineRejectsBadGapsAndSimilarityWithTypedErrors)
     EXPECT_EQ(engine.stats().solves, 0u);
 }
 
+TEST(ApiEngine, AffineRejectsZeroPairWeightWithTypedError)
+{
+    // Validation used to accept finite pair weights >= 0, and a free
+    // match then tripped the race's ">= 1" assertion.
+    ScoreMatrix freeMatch = ScoreMatrix::dnaShortestPath();
+    freeMatch.setPair(0, 0, 0);
+    RaceEngine engine;
+    auto got = engine.trySolve(RaceProblem::affineAlignment(
+        freeMatch, bio::AffineGapCosts{3, 1}, dna("ACTG"), dna("AG")));
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), ErrorCode::InvalidArgument);
+    EXPECT_NE(got.status().message().find("at least one cycle"),
+              std::string::npos);
+    EXPECT_EQ(engine.stats().solves, 0u);
+}
+
+TEST(ApiEngine, DtwRejectsSamplesWhoseWarpCostOverflows)
+{
+    RaceEngine engine;
+    const apps::Sample big = apps::Sample(1) << 62;
+    auto got = engine.trySolve(RaceProblem::dtw({0, big}, {big, 0}));
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), ErrorCode::InvalidArgument);
+
+    // The full int64 range: the span itself needs 64 unsigned bits.
+    auto extreme = engine.trySolve(
+        RaceProblem::dtw({INT64_MIN}, {INT64_MAX}));
+    ASSERT_FALSE(extreme.ok());
+    EXPECT_EQ(extreme.status().code(), ErrorCode::InvalidArgument);
+    EXPECT_EQ(engine.stats().solves, 0u);
+
+    // Just under the bound races exactly: 2 cells x span < infinity.
+    const apps::Sample span = (bio::kScoreInfinity - 1) / 2;
+    auto fits = engine.trySolve(RaceProblem::dtw({0, span}, {span}));
+    ASSERT_TRUE(fits.ok()) << fits.status().message();
+    EXPECT_EQ(fits.value().score, apps::dtwDistance({0, span}, {span}));
+}
+
 TEST(ApiEngine, GeneralizedMatchesLegacyGeneralizedAligner)
 {
     ScoreMatrix pam = ScoreMatrix::pam250();
