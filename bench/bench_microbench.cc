@@ -14,6 +14,7 @@
 #include "rl/bio/align_dp.h"
 #include "rl/bio/edit_graph.h"
 #include "rl/core/generalized.h"
+#include "rl/core/kernel_counters.h"
 #include "rl/core/race_grid.h"
 #include "rl/core/race_grid_circuit.h"
 #include "rl/core/wavefront.h"
@@ -65,6 +66,26 @@ BM_EventDrivenRace(benchmark::State &state)
                             int64_t(n) * int64_t(n));
 }
 BENCHMARK(BM_EventDrivenRace)->Arg(16)->Arg(64)->Arg(256);
+
+void
+BM_EventDrivenRaceCounted(benchmark::State &state)
+{
+    // BM_EventDrivenRace with a KernelCounters sink attached, as the
+    // daemon races with telemetry on: the sweep then also tracks the
+    // latest scheduled arrival for bucketsDrained.
+    size_t n = size_t(state.range(0));
+    auto [a, b] = randomPair(2, n);
+    core::RaceGridAligner racer(
+        ScoreMatrix::dnaShortestPathInfMismatch());
+    core::KernelCounters counters;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            racer.align(a, b, sim::kTickInfinity, nullptr, &counters)
+                .score);
+    state.SetItemsProcessed(int64_t(state.iterations()) *
+                            int64_t(n) * int64_t(n));
+}
+BENCHMARK(BM_EventDrivenRaceCounted)->Arg(16)->Arg(64)->Arg(256);
 
 void
 BM_HeapEventQueueRace(benchmark::State &state)

@@ -35,6 +35,18 @@ int fastaInput(const uint8_t *data, size_t size);
  */
 int wireInput(const uint8_t *data, size_t size);
 
+/**
+ * Arbitrary bytes as a differential race of the pairwise grid kernel.
+ * The bytes decode to an alphabet of 2..5 symbols, a cost matrix
+ * (forbidden pairs allowed, finite weights 1..2^20), two sequences of
+ * at most 40 symbols and a horizon.  Aborts unless core::raceEditGrid
+ * with a KernelCounters sink, raceEditGrid without one, and the
+ * materialized edit graph raced on core::raceDagEventDriven agree
+ * field by field, and unless a completed race scores
+ * bio::globalScore.
+ */
+int kernelInput(const uint8_t *data, size_t size);
+
 } // namespace racelogic::fuzz
 
 #endif // RACELOGIC_FUZZ_HARNESS_H

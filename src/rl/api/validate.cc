@@ -78,6 +78,35 @@ checkWarpCost(const std::vector<apps::Sample> &x,
     return Status();
 }
 
+/**
+ * checkWarpCost's affine twin: an alignment has at most |a| + |b|
+ * columns, each costing at most max(open, largest finite pair weight)
+ * (extend <= open), and that bound must stay below kScoreInfinity for
+ * the race's sums to stay exact.
+ */
+Status
+checkAffineCost(const RaceProblem &problem)
+{
+    const bio::ScoreMatrix &costs = *problem.matrix;
+    const size_t n = costs.alphabet().size();
+    uint64_t widest = static_cast<uint64_t>(problem.gaps.open);
+    for (size_t i = 0; i < n; ++i)
+        for (size_t j = 0; j < n; ++j) {
+            const bio::Score w = costs.pair(static_cast<bio::Symbol>(i),
+                                            static_cast<bio::Symbol>(j));
+            if (w > 0 && w != bio::kScoreInfinity)
+                widest = std::max(widest, static_cast<uint64_t>(w));
+        }
+    const size_t residues = problem.a->size() + problem.b->size();
+    const uint64_t bound = satMul(residues, widest);
+    if (bound >= static_cast<uint64_t>(bio::kScoreInfinity))
+        return Status::error(ErrorCode::InvalidArgument,
+                             "affine costs up to ", widest, " over ",
+                             residues, " residues; an alignment could "
+                             "cost ", bound, ", past the race's range");
+    return Status();
+}
+
 /** Race-readiness of the matrix actually raced (converted when the
  *  input is a similarity matrix), under the wavefront calendar cap. */
 Status
@@ -265,7 +294,7 @@ checkRuntimeInputs(const RaceProblem &problem)
                                  "affine gaps need open >= extend >= 1 "
                                  "(got open ", problem.gaps.open,
                                  ", extend ", problem.gaps.extend, ")");
-        return Status();
+        return checkAffineCost(problem);
     case ProblemKind::Dtw:
         if (problem.x.empty() || problem.y.empty())
             return Status::error(ErrorCode::InvalidArgument,

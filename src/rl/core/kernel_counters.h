@@ -7,11 +7,13 @@
  * Every kernel entry point that accepts one takes it as an optional
  * out-param (`KernelCounters *counters = nullptr`): a null pointer
  * costs nothing on the hot path -- the kernels only touch the struct
- * after the sweep, from values they tracked anyway -- and the raced
- * result is bit-identical either way.  Counters *accumulate* so one
- * struct can aggregate a whole batch; scratchHighWater is a running
- * maximum, everything else a running sum.  A cancelled race adds only
- * to `cancels`.
+ * after the sweep -- and the raced result is bit-identical either
+ * way.  The one value a grid sweep tracks only for a sink is
+ * bucketsDrained's latest scheduled arrival: with a null pointer the
+ * sweep runs without that running maximum.  Counters *accumulate* so
+ * one struct can aggregate a whole batch; scratchHighWater is a
+ * running maximum, everything else a running sum.  A cancelled race
+ * adds only to `cancels`.
  *
  * The struct lives in rl/core (the lowest layer that races) so the
  * grid kernel, the fused graph kernel, and the circuit simulator can
@@ -33,7 +35,8 @@ struct KernelCounters {
     uint64_t events = 0;
 
     /** Clock cycles raced: the latest such arrival + 1 on the grid
-     *  kernels, ticks on CompiledSim. */
+     *  kernels (computed only when a sink is attached), ticks on
+     *  CompiledSim. */
     uint64_t bucketsDrained = 0;
 
     /** Largest working table of one race, in entries (not bytes):

@@ -148,17 +148,19 @@ raceEditGrid(const bio::Sequence &a, const bio::Sequence &b,
     const size_t rows = a.size();
     const size_t cols = b.size();
 
-    const SweepRows weights = scratch.hoist(a, costs);
     scratch.gapCol.resize(cols);
     for (size_t j = 0; j < cols; ++j)
-        scratch.gapCol[j] = costs.gap(b[j]);
+        scratch.gapCol[j] = SweepScratch::capped(costs.gap(b[j]));
+    const ChainColumns columns{b.symbols().data(), scratch.gapCol.data(),
+                               cols + 1};
+    const SweepRows weights = scratch.hoist(a, costs, columns);
 
     RaceGridResult result;
     result.arrival = util::Grid<sim::Tick>(rows + 1, cols + 1,
                                            sim::kTickInfinity);
-    const SweepTally tally = denseSweep(
-        ChainColumns{b.symbols().data(), scratch.gapCol.data(), cols + 1},
-        weights, horizon, result.arrival.data(), cancel);
+    const SweepTally tally =
+        denseSweep(columns, weights, horizon, result.arrival.data(),
+                   scratch, cancel, counters != nullptr);
 
     if (tally.cancelled) {
         result.completed = false;
@@ -179,7 +181,7 @@ raceEditGrid(const bio::Sequence &a, const bio::Sequence &b,
                                     : bio::kScoreInfinity;
     result.latencyCycles = result.completed ? sink : horizon;
 
-    // Profiling export, from values the sweep tracked anyway.
+    // Profiling export; the sweep tracked `latest` for it.
     if (counters) {
         counters->events += result.events;
         counters->bucketsDrained += tally.latest + 1;

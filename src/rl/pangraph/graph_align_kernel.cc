@@ -22,8 +22,15 @@ struct GraphColumns {
     void
     forEachPred(size_t q, F &&f) const
     {
+        const uint32_t begin = compiled.predOffsets[q];
         const uint32_t end = compiled.predOffsets[q + 1];
-        for (uint32_t e = compiled.predOffsets[q]; e < end; ++e)
+        // Inside a segment the one predecessor is q - 1; naming it as
+        // such lets the sweep take it from its register.
+        if (end == begin + 1 && compiled.pred[begin] + 1 == q) {
+            f(q - 1);
+            return;
+        }
+        for (uint32_t e = begin; e < end; ++e)
             f(compiled.pred[e]);
     }
 };
@@ -52,13 +59,14 @@ raceAlignmentGrid(const CompiledGraph &compiled, const bio::Sequence &read,
     const size_t positions = compiled.positionCount();
     const size_t states = (m + 1) * positions + 1;
 
-    const core::SweepRows weights = scratch.hoist(read, costs);
+    const GraphColumns columns{compiled};
+    const core::SweepRows weights = scratch.hoist(read, costs, columns);
     GraphRaceResult result;
     result.nodes = states;
     result.arrival.assign(states, core::TemporalValue::never());
     const core::SweepTally tally =
-        core::denseSweep(GraphColumns{compiled}, weights, horizon,
-                         result.arrival.data(), cancel);
+        core::denseSweep(columns, weights, horizon, result.arrival.data(),
+                         scratch, cancel, counters != nullptr);
 
     if (tally.cancelled) {
         result.completed = false;
@@ -95,7 +103,7 @@ raceAlignmentGrid(const CompiledGraph &compiled, const bio::Sequence &read,
     result.score = result.racedCost;
     result.latencyCycles = result.completed ? sink.time() : horizon;
 
-    // Profiling export, from values the sweep tracked anyway.
+    // Profiling export; the sweep tracked `latest` for it.
     if (counters) {
         counters->events += result.events;
         counters->bucketsDrained += tally.latest + 1;

@@ -196,6 +196,42 @@ TEST(ApiEngine, AffineRejectsZeroPairWeightWithTypedError)
     EXPECT_EQ(engine.stats().solves, 0u);
 }
 
+TEST(ApiEngine, AffineRejectsGapCostsWhoseAlignmentCostOverflows)
+{
+    // (|a| + |b|) x max(open, largest finite pair weight) must stay
+    // below kScoreInfinity, or the race's sums wrap: this problem
+    // used to solve Ok with score 0.
+    RaceEngine engine;
+    const bio::Score big = bio::Score(1) << 62;
+    auto gaps = engine.trySolve(RaceProblem::affineAlignment(
+        ScoreMatrix::dnaShortestPath(), bio::AffineGapCosts{big, big},
+        dna("ACGTACGT"), dna("")));
+    ASSERT_FALSE(gaps.ok());
+    EXPECT_EQ(gaps.status().code(), ErrorCode::InvalidArgument);
+    EXPECT_NE(gaps.status().message().find("past the race's range"),
+              std::string::npos);
+
+    // A finite pair weight counts too; forbidden pairs do not.
+    ScoreMatrix heavy = ScoreMatrix::dnaShortestPathInfMismatch();
+    heavy.setPair(0, 0, bio::Score(1) << 60);
+    auto pair = engine.trySolve(RaceProblem::affineAlignment(
+        heavy, bio::AffineGapCosts{3, 1}, dna("ACGTACGT"), dna("ACGT")));
+    ASSERT_FALSE(pair.ok());
+    EXPECT_EQ(pair.status().code(), ErrorCode::InvalidArgument);
+    EXPECT_EQ(engine.stats().solves, 0u);
+
+    // Just under the bound races exactly: 8 residues x open.
+    const bio::Score open = (bio::kScoreInfinity - 1) / 8;
+    const bio::AffineGapCosts wide{open, open};
+    const Sequence a = dna("ACGTA"), b = dna("AGT");
+    auto fits = engine.trySolve(RaceProblem::affineAlignment(
+        ScoreMatrix::dnaShortestPathInfMismatch(), wide, a, b));
+    ASSERT_TRUE(fits.ok()) << fits.status().message();
+    EXPECT_EQ(fits.value().score,
+              bio::affineGlobalScore(
+                  a, b, ScoreMatrix::dnaShortestPathInfMismatch(), wide));
+}
+
 TEST(ApiEngine, DtwRejectsSamplesWhoseWarpCostOverflows)
 {
     RaceEngine engine;

@@ -7,11 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 
 #include "rl/bio/align_dp.h"
+#include "rl/bio/edit_graph.h"
 #include "rl/core/cancel.h"
+#include "rl/core/kernel_counters.h"
 #include "rl/core/race_grid.h"
+#include "rl/core/race_network.h"
 #include "rl/core/wavefront.h"
 #include "rl/util/random.h"
 
@@ -339,6 +343,170 @@ TEST(RaceGrid, DeadlineEitherCancelsOrLeavesTheRaceBitIdentical)
         EXPECT_TRUE(r.arrival == plain.arrival) << "deadline " << k;
     }
     EXPECT_GT(cancelled, 0); // deadline 0 has passed by the first poll
+}
+
+// ------------------------------------ identity against the edit graph
+
+/**
+ * The latest arrival the event-driven race of `eg` schedules at or
+ * before `horizon`: the latest t = firing(u) + w over edges whose
+ * source fired -- what KernelCounters::bucketsDrained counts, less 1.
+ */
+sim::Tick
+latestScheduled(const bio::EditGraph &eg, const core::RaceOutcome &race,
+                sim::Tick horizon)
+{
+    sim::Tick latest = 0;
+    for (const graph::Edge &e : eg.dag.edges()) {
+        const core::TemporalValue from = race.at(e.from);
+        if (!from.fired())
+            continue;
+        const sim::Tick t = from.time() + static_cast<sim::Tick>(e.weight);
+        if (t <= horizon)
+            latest = std::max(latest, t);
+    }
+    return latest;
+}
+
+/**
+ * Race (a, b) on raceEditGrid with and without a KernelCounters sink
+ * and on the materialized edit graph (raceDagEventDriven): every
+ * result field must agree, and the sink's bucketsDrained must be the
+ * reference's latest scheduled arrival + 1.  Returns the counted run.
+ */
+RaceGridResult
+expectGridMatchesEditGraphRace(const Sequence &a, const Sequence &b,
+                               const ScoreMatrix &m, sim::Tick horizon)
+{
+    SCOPED_TRACE(testing::Message() << "a " << a.str() << ", b " << b.str()
+                                    << ", horizon " << horizon);
+    core::RaceGridScratch scratch;
+    core::KernelCounters counters;
+    const RaceGridResult counted =
+        core::raceEditGrid(a, b, m, horizon, scratch, nullptr, &counters);
+    const RaceGridResult plain =
+        core::raceEditGrid(a, b, m, horizon, scratch);
+
+    EXPECT_EQ(counted.score, plain.score);
+    EXPECT_EQ(counted.completed, plain.completed);
+    EXPECT_EQ(counted.cancelled, plain.cancelled);
+    EXPECT_EQ(counted.latencyCycles, plain.latencyCycles);
+    EXPECT_EQ(counted.events, plain.events);
+    EXPECT_EQ(counted.cellsFired, plain.cellsFired);
+    EXPECT_TRUE(counted.arrival == plain.arrival);
+
+    const bio::EditGraph eg = bio::makeEditGraph(a, b, m);
+    const core::RaceOutcome reference = core::raceDagEventDriven(
+        eg.dag, {eg.source}, core::RaceType::Or, horizon);
+    size_t fired = 0;
+    for (size_t i = 0; i <= eg.rows; ++i) {
+        for (size_t j = 0; j <= eg.cols; ++j) {
+            const core::TemporalValue v = reference.at(eg.node(i, j));
+            fired += v.fired();
+            EXPECT_EQ(counted.arrival.at(i, j), v.rawTime())
+                << "(" << i << "," << j << ")";
+        }
+    }
+    EXPECT_EQ(counted.events, reference.events);
+    EXPECT_EQ(counted.cellsFired, fired);
+    EXPECT_EQ(counted.completed, reference.at(eg.sink).fired());
+    EXPECT_EQ(counters.events, counted.events);
+    EXPECT_EQ(counters.lanesOccupied, counted.cellsFired);
+    EXPECT_EQ(counters.bucketsDrained,
+              latestScheduled(eg, reference, horizon) + 1);
+    EXPECT_EQ(counters.horizonAborts, counted.completed ? 0u : 1u);
+    return counted;
+}
+
+TEST(RaceGrid, CountersDoNotChangeTheRace)
+{
+    // A KernelCounters sink only observes: every field of the race is
+    // the same with and without one, on full races and on Section 6
+    // aborts, under both factory cost matrices.
+    util::Rng rng(1501);
+    const ScoreMatrix matrices[] = {
+        ScoreMatrix::dnaShortestPath(),
+        ScoreMatrix::dnaShortestPathInfMismatch(),
+    };
+    for (int round = 0; round < 24; ++round) {
+        const ScoreMatrix &m = matrices[round % 2];
+        const Sequence a =
+            Sequence::random(rng, Alphabet::dna(), rng.index(14));
+        const Sequence b =
+            Sequence::random(rng, Alphabet::dna(), rng.index(14));
+        const RaceGridResult full =
+            expectGridMatchesEditGraphRace(a, b, m, sim::kTickInfinity);
+        ASSERT_TRUE(full.completed);
+        EXPECT_EQ(full.score, bio::globalScore(a, b, m));
+        for (sim::Tick horizon :
+             {sim::Tick(0), sim::Tick(rng.index(full.latencyCycles + 1)),
+              full.latencyCycles - (full.latencyCycles > 0),
+              full.latencyCycles})
+            expectGridMatchesEditGraphRace(a, b, m, horizon);
+    }
+}
+
+TEST(RaceGrid, ArrivalAtExactlyTheHorizonIsAnEvent)
+{
+    // One wire of weight 3: (0, 0) -> (1, 0).  Its arrival at tick 3
+    // is scheduled and fires under horizon 3; under horizon 2 it lands
+    // one past the abort counter, so it is neither.
+    ScoreMatrix m = ScoreMatrix::dnaShortestPath();
+    m.setAllGaps(3);
+    const RaceGridResult at =
+        expectGridMatchesEditGraphRace(dna("A"), dna(""), m, 3);
+    EXPECT_EQ(at.events, 1u);
+    EXPECT_EQ(at.cellsFired, 2u);
+    EXPECT_TRUE(at.completed);
+    EXPECT_EQ(at.arrival.at(1, 0), 3u);
+
+    const RaceGridResult past =
+        expectGridMatchesEditGraphRace(dna("A"), dna(""), m, 2);
+    EXPECT_EQ(past.events, 0u);
+    EXPECT_EQ(past.cellsFired, 1u);
+    EXPECT_FALSE(past.completed);
+    EXPECT_EQ(past.arrival.at(1, 0), sim::kTickInfinity);
+
+    // On a full grid: every arrival at exactly the sink's time counts
+    // when the horizon is that time, and none does one tick earlier.
+    util::Rng rng(1502);
+    const Sequence a = Sequence::random(rng, Alphabet::dna(), 12);
+    const Sequence b = Sequence::random(rng, Alphabet::dna(), 11);
+    const RaceGridResult full = expectGridMatchesEditGraphRace(
+        a, b, ScoreMatrix::dnaShortestPath(), sim::kTickInfinity);
+    const RaceGridResult edge = expectGridMatchesEditGraphRace(
+        a, b, ScoreMatrix::dnaShortestPath(), full.latencyCycles);
+    EXPECT_TRUE(edge.completed);
+    EXPECT_EQ(edge.score, full.score);
+    const RaceGridResult under = expectGridMatchesEditGraphRace(
+        a, b, ScoreMatrix::dnaShortestPath(), full.latencyCycles - 1);
+    EXPECT_FALSE(under.completed);
+    EXPECT_LT(under.events, edge.events);
+}
+
+TEST(RaceGrid, HugeWeightsDoNotWrap)
+{
+    // Gap weights of 2^50 and one finite mismatch of 2^55 beside
+    // forbidden (kScoreInfinity) pairs: every sum the sweep forms --
+    // fired cell plus weight, or "never" plus weight -- must stay
+    // exact, on full races and with horizons deep in the 2^50 range.
+    ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
+    m.setAllGaps(bio::Score(1) << 50);
+    m.setPair(0, 1, bio::Score(1) << 55);
+    util::Rng rng(1503);
+    for (int round = 0; round < 12; ++round) {
+        const Sequence a =
+            Sequence::random(rng, Alphabet::dna(), rng.index(10));
+        const Sequence b =
+            Sequence::random(rng, Alphabet::dna(), rng.index(10));
+        const RaceGridResult full =
+            expectGridMatchesEditGraphRace(a, b, m, sim::kTickInfinity);
+        ASSERT_TRUE(full.completed);
+        EXPECT_EQ(full.score, bio::globalScore(a, b, m));
+        expectGridMatchesEditGraphRace(a, b, m, full.latencyCycles / 2);
+        expectGridMatchesEditGraphRace(
+            a, b, m, static_cast<sim::Tick>(bio::kScoreInfinity) - 1);
+    }
 }
 
 TEST(RaceGridDeath, SimilarityMatrixRejected)

@@ -62,4 +62,10 @@ TEST(FuzzCorpus, WireSeedsReplayClean)
     EXPECT_GE(replayDirectory("wire", racelogic::fuzz::wireInput), 5u);
 }
 
+TEST(FuzzCorpus, KernelSeedsReplayClean)
+{
+    EXPECT_GE(replayDirectory("kernel", racelogic::fuzz::kernelInput),
+              5u);
+}
+
 } // namespace

@@ -10,11 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <sstream>
 
 #include "rl/bio/align_dp.h"
 #include "rl/core/cancel.h"
+#include "rl/core/kernel_counters.h"
 #include "rl/core/wavefront.h"
 #include "rl/pangraph/generate.h"
 #include "rl/pangraph/gfa.h"
@@ -553,6 +555,77 @@ TEST(GraphAlignFused, BitIdenticalToMaterializedDagOnRandomGraphs)
             expectFusedMatchesMaterialized(
                 aligner, read,
                 static_cast<sim::Tick>(rng.uniformInt(0, 30)));
+        }
+    }
+}
+
+TEST(GraphAlignFused, CountersDoNotChangeTheRace)
+{
+    // The graph twin of RaceGrid.CountersDoNotChangeTheRace: a
+    // KernelCounters sink only observes.  Every field is the same with
+    // and without one, both match the materialized product, and
+    // bucketsDrained is the product race's latest scheduled arrival
+    // (over every wire, the super-sink's included) + 1.
+    util::Rng rng(1504);
+    const ScoreMatrix matrices[] = {
+        ScoreMatrix::dnaShortestPath(),
+        ScoreMatrix::dnaShortestPathInfMismatch(),
+    };
+    for (int round = 0; round < 8; ++round) {
+        pangraph::VariationGraphParams params;
+        params.backboneSegments =
+            static_cast<size_t>(rng.uniformInt(2, 5));
+        params.minLabel = 1;
+        params.maxLabel = 8;
+        params.snpDensity = 0.4;
+        params.insertDensity = 0.25;
+        params.deleteDensity = 0.25;
+        auto graph = std::make_shared<VariationGraph>(
+            pangraph::randomVariationGraph(rng, Alphabet::dna(),
+                                           params));
+        GraphAligner aligner(graph, matrices[round % 2]);
+        const Sequence read = pangraph::sampleRead(
+            rng, *graph, bio::MutationModel::uniform(0.25));
+        const pangraph::AlignmentGraph product =
+            pangraph::buildAlignmentGraph(aligner.compiled(), read,
+                                          aligner.costs());
+        const sim::Tick full = aligner.align(read).latencyCycles;
+        for (sim::Tick horizon :
+             {sim::Tick(0), sim::Tick(rng.index(full + 1)), full,
+              sim::kTickInfinity}) {
+            SCOPED_TRACE(testing::Message()
+                         << "read " << read.str() << ", horizon "
+                         << horizon);
+            expectFusedMatchesMaterialized(aligner, read, horizon);
+            core::KernelCounters counters;
+            const pangraph::GraphRaceResult counted =
+                aligner.align(read, horizon, nullptr, &counters);
+            const pangraph::GraphRaceResult plain =
+                aligner.align(read, horizon);
+            EXPECT_EQ(counted.completed, plain.completed);
+            EXPECT_EQ(counted.cancelled, plain.cancelled);
+            EXPECT_EQ(counted.racedCost, plain.racedCost);
+            EXPECT_EQ(counted.score, plain.score);
+            EXPECT_EQ(counted.latencyCycles, plain.latencyCycles);
+            EXPECT_EQ(counted.events, plain.events);
+            EXPECT_EQ(counted.nodes, plain.nodes);
+            EXPECT_EQ(counted.cellsFired, plain.cellsFired);
+            EXPECT_TRUE(counted.arrival == plain.arrival);
+
+            sim::Tick latest = 0;
+            for (const graph::Edge &e : product.dag.edges()) {
+                const core::TemporalValue from = plain.arrival[e.from];
+                if (!from.fired())
+                    continue;
+                const sim::Tick t =
+                    from.time() + static_cast<sim::Tick>(e.weight);
+                if (t <= horizon)
+                    latest = std::max(latest, t);
+            }
+            EXPECT_EQ(counters.bucketsDrained, latest + 1);
+            EXPECT_EQ(counters.events, counted.events);
+            EXPECT_EQ(counters.lanesOccupied, counted.cellsFired);
+            EXPECT_EQ(counters.horizonAborts, counted.completed ? 0u : 1u);
         }
     }
 }

@@ -23,7 +23,7 @@
 #include <cstring>
 #include <string>
 
-#include <unistd.h>
+#include <pthread.h>
 
 #include "rl/pangraph/gfa.h"
 #include "rl/serve/server.h"
@@ -31,28 +31,6 @@
 using namespace racelogic;
 
 namespace {
-
-volatile std::sig_atomic_t gStopRequested = 0;
-volatile std::sig_atomic_t gDumpRequested = 0;
-volatile std::sig_atomic_t gReloadRequested = 0;
-
-void
-onSignal(int)
-{
-    gStopRequested = 1;
-}
-
-void
-onDumpSignal(int)
-{
-    gDumpRequested = 1;
-}
-
-void
-onReloadSignal(int)
-{
-    gReloadRequested = 1;
-}
 
 void
 usage(const char *argv0)
@@ -120,6 +98,16 @@ usage(const char *argv0)
 int
 main(int argc, char **argv)
 {
+    // The daemon's signals are blocked before any thread exists, so
+    // every thread inherits the mask and the main thread's sigwait()
+    // below takes each one -- whichever thread the kernel picks, and
+    // however early it arrives.
+    sigset_t signals;
+    sigemptyset(&signals);
+    for (int sig : {SIGTERM, SIGINT, SIGHUP, SIGUSR1})
+        sigaddset(&signals, sig);
+    pthread_sigmask(SIG_BLOCK, &signals, nullptr);
+
     serve::ServerConfig cfg;
     std::string gfaPath;
     std::string alphabetLetters = "ACGT";
@@ -212,23 +200,20 @@ main(int argc, char **argv)
         std::fflush(stdout);
     }
 
-    std::signal(SIGTERM, onSignal);
-    std::signal(SIGINT, onSignal);
-    std::signal(SIGUSR1, onDumpSignal);
-    std::signal(SIGHUP, onReloadSignal);
-    while (!gStopRequested) {
-        ::pause(); // signals are the only way out
-        if (gDumpRequested) {
-            gDumpRequested = 0;
+    for (;;) {
+        int sig = 0;
+        if (sigwait(&signals, &sig) != 0)
+            continue;
+        if (sig == SIGTERM || sig == SIGINT)
+            break;
+        if (sig == SIGUSR1) {
             const std::string text =
                 server.metricsSnapshot().renderPrometheus();
             std::fwrite(text.data(), 1, text.size(), stderr);
             std::fflush(stderr);
-        }
-        if (gReloadRequested) {
-            gReloadRequested = 0;
+        } else { // SIGHUP
             // Zero-downtime swap: parse + compile happen here, on the
-            // signal-dispatch thread, while workers keep racing on the
+            // main thread, while workers keep racing on the
             // old graph.  Any failure -- no --gfa, a broken file, an
             // alphabet change -- is logged and the old graph keeps
             // serving.
