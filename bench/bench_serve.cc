@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include <time.h>
 #include <unistd.h>
 
 #include "rl/serve/client.h"
@@ -45,6 +46,21 @@ std::string
 benchSocketPath()
 {
     return "/tmp/rl-bench-serve-" + std::to_string(getpid()) + ".sock";
+}
+
+/**
+ * CPU seconds spent by every thread of this process except the
+ * caller: with the client on the benchmark thread, that is the
+ * in-process daemon's share of the work.
+ */
+double
+daemonCpuSeconds()
+{
+    timespec process{}, self{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &process);
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &self);
+    return double(process.tv_sec - self.tv_sec) +
+           double(process.tv_nsec - self.tv_nsec) * 1e-9;
 }
 
 /**
@@ -153,11 +169,6 @@ BM_ServeMixedPriority(benchmark::State &state)
     cfg.unixPath = benchSocketPath();
     cfg.workers = 2;
     cfg.queueDepth = window / 2;
-    // Keep the dispatcher from inhaling the whole queue (eviction can
-    // only claim *queued* victims) but let each drain cover one full
-    // weight round (1+2+4) so batch keeps its starvation-free slot --
-    // the production shape, where depth >> drain batch >= the round.
-    cfg.drainBatchMax = 7;
     cfg.engine.withEstimates = false;
     serve::AlignServer server(std::move(cfg));
     if (!server.start()) {
@@ -254,6 +265,7 @@ BM_ServePingRoundTrip(benchmark::State &state)
 
     uint32_t id = 1;
     serve::Response response;
+    const double cpuBefore = daemonCpuSeconds();
     for (auto _ : state) {
         client.submitPing(id++);
         if (!client.receive(response)) {
@@ -261,25 +273,77 @@ BM_ServePingRoundTrip(benchmark::State &state)
             return;
         }
     }
+    state.counters["daemon_cpu_us"] = (daemonCpuSeconds() - cpuBefore) *
+                                      1e6 / double(state.iterations());
     state.SetItemsProcessed(int64_t(state.iterations()));
     server.stop();
 }
 BENCHMARK(BM_ServePingRoundTrip)->UseRealTime();
 
 /**
+ * One warm pairwise request at a time (window 1) against a two-shard
+ * daemon: the protocol floor above plus admission, the hand-off to
+ * the shard's thread, and the race.  Read beside BM_ServePingRoundTrip
+ * (tools/bench_compare.py --pair) it shows what a lone request pays
+ * above the floor, in wall time and in daemon CPU (daemon_cpu_us).
+ */
+void
+BM_ServeLoneRequestRoundTrip(benchmark::State &state)
+{
+    const size_t n = size_t(state.range(0));
+    serve::ServerConfig cfg;
+    cfg.unixPath = benchSocketPath();
+    cfg.workers = 2;
+    cfg.engine.withEstimates = false;
+    serve::AlignServer server(std::move(cfg));
+    if (!server.start()) {
+        state.SkipWithError("failed to bind bench socket");
+        return;
+    }
+    serve::ServeClient client =
+        serve::ServeClient::overUnix(benchSocketPath());
+
+    const bio::ScoreMatrix costs = bio::ScoreMatrix::dnaShortestPath();
+    const std::string a = randomDna(1, n), b = randomDna(2, n);
+    uint32_t id = 1;
+    serve::Response response;
+    client.submitPairwise(id++, costs, a, b); // warm the plan
+    client.receive(response);
+
+    const double cpuBefore = daemonCpuSeconds();
+    for (auto _ : state) {
+        client.submitPairwise(id++, costs, a, b);
+        if (!client.receive(response) ||
+            response.status != serve::Status::Ok) {
+            state.SkipWithError("request failed");
+            return;
+        }
+    }
+    state.counters["daemon_cpu_us"] = (daemonCpuSeconds() - cpuBefore) *
+                                      1e6 / double(state.iterations());
+    state.SetItemsProcessed(int64_t(state.iterations()));
+    server.stop();
+}
+BENCHMARK(BM_ServeLoneRequestRoundTrip)->Arg(48)->UseRealTime();
+
+/**
  * Admission-control micro: tryPush/drain/markDone cycles on the bare
  * bounded queue, no sockets -- what the daemon's ledger itself costs.
+ * Jobs spread over two lanes and leave one at a time, as each shard's
+ * lane thread takes them.
  */
 void
 BM_ServeQueueCycle(benchmark::State &state)
 {
-    serve::RequestQueue queue(64);
+    serve::RequestQueue queue(2, 64);
     for (auto _ : state) {
-        for (int i = 0; i < 32; ++i)
+        for (size_t i = 0; i < 32; ++i)
             benchmark::DoNotOptimize(
-                queue.tryPush(serve::QueuedJob{0, [] {}}));
-        auto batch = queue.drain(32);
-        queue.markDone(batch.size());
+                queue.tryPush(serve::QueuedJob{i % 2, [] {}}));
+        for (size_t i = 0; i < 32; ++i) {
+            auto one = queue.drain(i % 2, 1);
+            queue.markDone(one.front().priority);
+        }
     }
     state.SetItemsProcessed(int64_t(state.iterations()) * 32);
 }

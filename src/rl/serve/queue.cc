@@ -53,14 +53,18 @@ QueueStats::wire() const
     return w;
 }
 
-RequestQueue::RequestQueue(size_t depth, size_t brownoutDepth)
+RequestQueue::RequestQueue(size_t lanes, size_t depth, size_t brownoutDepth)
     : capacity(depth),
       brownoutCapacity(brownoutDepth == 0
                            ? std::max<size_t>(1, depth / 2)
                            : std::min(depth,
                                       std::max<size_t>(1, brownoutDepth)))
 {
+    rl_assert(lanes > 0, "a queue needs at least one lane");
     rl_assert(depth > 0, "a zero-depth queue admits nothing");
+    this->lanes.reserve(lanes);
+    for (size_t i = 0; i < lanes; ++i)
+        this->lanes.push_back(std::make_unique<Lane>());
 }
 
 size_t
@@ -72,30 +76,41 @@ RequestQueue::effectiveDepth() const
 RequestQueue::Admit
 RequestQueue::tryPush(QueuedJob job, QueuedJob *evicted)
 {
-    std::lock_guard<std::mutex> lock(mutex);
-    if (shuttingDown) {
-        ++counters.rejectedShutdown;
-        return Admit::ShuttingDown;
-    }
-    const size_t cls = classIndex(job.priority);
-    if (brownoutActive && job.priority == Priority::Batch) {
-        ++counters.rejectedResource;
-        ++counters.classes[cls].rejectedResource;
-        return Admit::Brownout;
-    }
-    const uint64_t outstanding = counters.queued + counters.inflight;
-    if (outstanding >= effectiveDepth()) {
-        // Shed-lowest-first: a higher class may claim the slot of the
-        // newest queued job in the lowest occupied class below it.
-        // The victim still gets a typed QueueFull reply -- the caller
-        // runs evicted->onShed off this lock.
-        bool tookSlot = false;
-        if (evicted != nullptr) {
-            for (size_t victim = 0; victim < cls; ++victim) {
-                if (jobs[victim].empty())
+    rl_assert(job.shard < lanes.size(), "job routed to a missing lane");
+    Lane &lane = *lanes[job.shard];
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (shuttingDown) {
+            ++counters.rejectedShutdown;
+            return Admit::ShuttingDown;
+        }
+        const size_t cls = classIndex(job.priority);
+        if (brownoutActive && job.priority == Priority::Batch) {
+            ++counters.rejectedResource;
+            ++counters.classes[cls].rejectedResource;
+            return Admit::Brownout;
+        }
+        const uint64_t outstanding = counters.queued + counters.inflight;
+        if (outstanding >= effectiveDepth()) {
+            // Shed-lowest-first: a higher class may claim the slot of
+            // the newest queued job, in any lane, of the lowest
+            // occupied class below it.  The victim still gets a typed
+            // QueueFull reply -- the caller runs evicted->onShed off
+            // this lock.
+            bool tookSlot = false;
+            for (size_t victim = 0; evicted != nullptr && victim < cls;
+                 ++victim) {
+                std::deque<Entry> *newest = nullptr;
+                for (const std::unique_ptr<Lane> &other : lanes) {
+                    std::deque<Entry> &q = other->jobs[victim];
+                    if (!q.empty() &&
+                        (!newest || q.back().seq > newest->back().seq))
+                        newest = &q;
+                }
+                if (!newest)
                     continue;
-                *evicted = std::move(jobs[victim].back());
-                jobs[victim].pop_back();
+                *evicted = std::move(newest->back().job);
+                newest->pop_back();
                 --counters.queued;
                 --counters.classes[victim].queued;
                 ++counters.shedEvicted;
@@ -103,21 +118,23 @@ RequestQueue::tryPush(QueuedJob job, QueuedJob *evicted)
                 tookSlot = true;
                 break;
             }
+            if (!tookSlot) {
+                ++counters.rejectedQueueFull;
+                ++counters.classes[cls].rejectedQueueFull;
+                return Admit::QueueFull;
+            }
         }
-        if (!tookSlot) {
-            ++counters.rejectedQueueFull;
-            ++counters.classes[cls].rejectedQueueFull;
-            return Admit::QueueFull;
-        }
+        lane.jobs[cls].push_back(Entry{admissions++, std::move(job)});
+        ++counters.enqueued;
+        ++counters.queued;
+        ++counters.classes[cls].enqueued;
+        ++counters.classes[cls].queued;
+        counters.highWater = std::max(counters.highWater,
+                                      counters.queued + counters.inflight);
     }
-    jobs[cls].push_back(std::move(job));
-    ++counters.enqueued;
-    ++counters.queued;
-    ++counters.classes[cls].enqueued;
-    ++counters.classes[cls].queued;
-    counters.highWater =
-        std::max(counters.highWater, counters.queued + counters.inflight);
-    readable.notify_one();
+    // Only this lane's consumer can run the job; waking it after the
+    // unlock spares it an immediate block on the mutex.
+    lane.readable.notify_one();
     return Admit::Accepted;
 }
 
@@ -147,81 +164,60 @@ RequestQueue::noteRejected(Status status, Priority priority)
 }
 
 std::vector<QueuedJob>
-RequestQueue::drain(size_t max, std::vector<QueuedJob> *shed)
+RequestQueue::drain(size_t laneIndex, size_t max,
+                    std::vector<QueuedJob> *shed)
 {
     rl_assert(max > 0, "drain batch must hold at least one job");
+    rl_assert(laneIndex < lanes.size(), "drain of a missing lane");
+    Lane &lane = *lanes[laneIndex];
     std::unique_lock<std::mutex> lock(mutex);
-    readable.wait(lock, [&] {
-        return counters.queued > 0 || shuttingDown;
-    });
+    lane.readable.wait(lock,
+                       [&] { return !lane.empty() || shuttingDown; });
 
     // Shed-at-drain, not shed-at-push: expiry is checked exactly once
-    // per job, by the one dispatcher thread, so a shed job can never
+    // per job, by its lane's one consumer, so a shed job can never
     // race its own execution.
     const auto now = std::chrono::steady_clock::now();
 
     std::vector<QueuedJob> batch;
-    batch.reserve(std::min<uint64_t>(max, counters.queued));
-    // Weighted round-robin, highest class first.  Deadline sheds do
-    // not consume quota or batch slots; within a class jobs leave in
-    // FIFO order.
-    while (counters.queued > 0 && batch.size() < max) {
-        for (size_t c = kPriorityClasses; c-- > 0;) {
-            size_t quota = kDrainWeight[c];
-            while (quota > 0 && !jobs[c].empty() && batch.size() < max) {
-                QueuedJob &front = jobs[c].front();
-                if (shed != nullptr && front.deadline <= now) {
-                    shed->push_back(std::move(front));
-                    jobs[c].pop_front();
-                    --counters.queued;
-                    --counters.classes[c].queued;
-                    ++counters.shedDeadline;
-                    ++counters.classes[c].shedDeadline;
-                    continue;
-                }
-                batch.push_back(std::move(front));
-                jobs[c].pop_front();
-                --counters.queued;
-                --counters.classes[c].queued;
-                ++counters.inflight;
-                --quota;
-            }
+    while (batch.size() < max && !lane.empty()) {
+        // Weighted round-robin, highest class first: the lane spends
+        // its current class's quota, then moves down one class
+        // (wrapping to the top); an empty class forfeits its turn.
+        // Deadline sheds consume no quota; within a class jobs leave
+        // in FIFO order.
+        while (lane.quota == 0 || lane.jobs[lane.turn].empty()) {
+            lane.turn = lane.turn == 0 ? kPriorityClasses - 1
+                                       : lane.turn - 1;
+            lane.quota = kDrainWeight[lane.turn];
         }
+        const size_t c = lane.turn;
+        QueuedJob job = std::move(lane.jobs[c].front().job);
+        lane.jobs[c].pop_front();
+        --counters.queued;
+        --counters.classes[c].queued;
+        if (shed != nullptr && job.deadline <= now) {
+            shed->push_back(std::move(job));
+            ++counters.shedDeadline;
+            ++counters.classes[c].shedDeadline;
+            continue;
+        }
+        batch.push_back(std::move(job));
+        ++counters.inflight;
+        --lane.quota;
     }
-    // Shedding the whole backlog can finish the drain: wake
-    // waitDrained() just as markDone() would have.
-    if (counters.queued == 0 && counters.inflight == 0)
-        drained.notify_all();
     return batch;
 }
 
 void
-RequestQueue::markDone(size_t n)
+RequestQueue::markDone(Priority priority)
 {
     std::lock_guard<std::mutex> lock(mutex);
-    rl_assert(counters.inflight >= n,
+    rl_assert(counters.inflight > 0,
               "markDone() retires more jobs than are inflight");
-    counters.inflight -= n;
-    counters.completed += n;
-    if (counters.queued == 0 && counters.inflight == 0)
-        drained.notify_all();
-}
-
-void
-RequestQueue::markDone(const std::array<uint64_t, kPriorityClasses> &byClass)
-{
-    uint64_t n = 0;
-    for (uint64_t count : byClass)
-        n += count;
-    std::lock_guard<std::mutex> lock(mutex);
-    rl_assert(counters.inflight >= n,
-              "markDone() retires more jobs than are inflight");
-    counters.inflight -= n;
-    counters.completed += n;
-    for (size_t c = 0; c < kPriorityClasses; ++c)
-        counters.classes[c].completed += byClass[c];
-    if (counters.queued == 0 && counters.inflight == 0)
-        drained.notify_all();
+    --counters.inflight;
+    ++counters.completed;
+    ++counters.classes[classIndex(priority)].completed;
 }
 
 void
@@ -243,18 +239,8 @@ RequestQueue::beginShutdown()
 {
     std::lock_guard<std::mutex> lock(mutex);
     shuttingDown = true;
-    readable.notify_all();
-    if (counters.queued == 0 && counters.inflight == 0)
-        drained.notify_all();
-}
-
-void
-RequestQueue::waitDrained()
-{
-    std::unique_lock<std::mutex> lock(mutex);
-    drained.wait(lock, [&] {
-        return counters.queued == 0 && counters.inflight == 0;
-    });
+    for (const std::unique_ptr<Lane> &lane : lanes)
+        lane->readable.notify_all();
 }
 
 QueueStats

@@ -1,31 +1,37 @@
 /**
  * @file
- * The daemon's bounded request queue with priority-aware admission.
+ * The daemon's bounded request queue: one lane per engine shard,
+ * priority-aware admission over all of them.
  *
- * Connection threads push decoded requests; the dispatcher drains
- * them onto the worker pool.  Admission is bounded on *outstanding*
- * work -- queued plus inflight -- so a saturated daemon rejects new
- * requests with a typed QueueFull verdict instead of buffering
- * without limit (the client can back off or resubmit elsewhere).
+ * Connection threads push decoded requests; each job is filed in the
+ * lane of the shard it routes to, and that shard's own worker thread
+ * drains the lane one job at a time.  One wake-up sits between admit
+ * and solve, and no shard ever waits for another.  Admission is
+ * bounded on *outstanding* work -- queued plus inflight, across every
+ * lane -- so a saturated daemon rejects new requests with a typed
+ * QueueFull verdict instead of buffering without limit (the client
+ * can back off or resubmit elsewhere).
  *
  * Every request carries a traffic class (Priority: batch / normal /
  * interactive) and the queue keeps one ledger slice per class:
  *
- *  - **drain order** is a weighted round-robin (interactive 4 :
- *    normal 2 : batch 1) -- interactive work drains first but every
- *    non-empty class advances each round, so batch is starvation-free;
+ *  - **drain order** within a lane is a weighted round-robin
+ *    (interactive 4 : normal 2 : batch 1) -- interactive work drains
+ *    first but every non-empty class advances each round, so batch is
+ *    starvation-free.  Each lane keeps its round position across
+ *    drains, so one-job drains follow the same 4:2:1 order;
  *  - **at the bound**, a higher-class arrival evicts the newest
- *    queued job of the lowest class below it (shed-lowest-first); the
- *    victim is handed back to the caller, who sends it a typed
- *    QueueFull reply off the queue lock.  Same-or-lower-class
- *    arrivals bounce with QueueFull as before;
+ *    queued job of the lowest class below it, in any lane
+ *    (shed-lowest-first); the victim is handed back to the caller,
+ *    who sends it a typed QueueFull reply off the queue lock.
+ *    Same-or-lower-class arrivals bounce with QueueFull as before;
  *  - **in brownout** (memory high-watermark crossed), the effective
  *    depth is halved and batch-class arrivals are shed outright with
  *    a typed ResourceExhausted -- interactive latency is protected by
  *    shedding the work that can wait.
  *
- * All counters are kept under one mutex and snapshot as a unit, so
- * the metrics endpoint never reads a torn view: enqueued always
+ * All lanes and counters live under one mutex and snapshot as a unit,
+ * so the metrics endpoint never reads a torn view: enqueued always
  * equals completed + queued + inflight + shedDeadline + shedEvicted
  * (and every bounced frame lands in exactly one rejected* counter).
  *
@@ -44,6 +50,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -53,15 +60,15 @@ namespace racelogic::serve {
 
 /** One admitted request, bound to its shard and ready to run. */
 struct QueuedJob {
-    /** Engine shard that must execute this job (plan locality). */
+    /** Engine shard that must execute this job; picks its lane. */
     size_t shard = 0;
 
-    /** Solve + respond closure; runs on a worker-pool thread. */
+    /** Solve + respond closure; runs on its shard's lane thread. */
     std::function<void()> run;
 
     /**
      * Absolute expiry instant (max() = none).  A job whose deadline
-     * has passed when the dispatcher drains it is shed -- onShed runs
+     * has passed when its lane drains it is shed -- onShed runs
      * instead of run -- so a backed-up queue never wastes a worker on
      * an answer nobody is waiting for.
      */
@@ -121,8 +128,8 @@ struct QueueStats {
 };
 
 /**
- * Bounded MPSC-ish job queue (any number of producers, one
- * dispatcher draining).  Depth bounds queued + inflight: a request
+ * Bounded multi-lane job queue: any number of producers, one consumer
+ * per lane.  Depth bounds queued + inflight over all lanes: a request
  * is outstanding until markDone(), so admission reflects work the
  * daemon has actually committed to, not just buffer occupancy.
  */
@@ -138,20 +145,24 @@ class RequestQueue
     };
 
     /**
+     * @param lanes          One lane per engine shard (at least one).
      * @param depth          Admission bound on outstanding work.
      * @param brownoutDepth  Bound while the brownout latch is set;
      *                       0 picks half of `depth` (min 1), and any
      *                       explicit value is clamped to [1, depth].
      */
-    explicit RequestQueue(size_t depth, size_t brownoutDepth = 0);
+    RequestQueue(size_t lanes, size_t depth, size_t brownoutDepth = 0);
 
     /**
-     * Admit or bounce one job; never blocks.  When the bound is hit
-     * and `evicted` is non-null, a job of a strictly higher class may
-     * still be admitted by evicting the newest queued job of the
-     * lowest occupied class below it: the victim is moved into
-     * `*evicted` and the caller must run `evicted->onShed(QueueFull)`
-     * off the queue lock.  With `evicted` null no eviction happens.
+     * Admit or bounce one job; never blocks.  An admitted job is
+     * filed in lane `job.shard` (which must be below laneCount()) and
+     * wakes that lane's consumer only.  When the bound is hit and
+     * `evicted` is non-null, a job of a strictly higher class may
+     * still be admitted by evicting the newest queued job (by
+     * admission order, across all lanes) of the lowest occupied class
+     * below it: the victim is moved into `*evicted` and the caller
+     * must run `evicted->onShed(QueueFull)` off the queue lock.  With
+     * `evicted` null no eviction happens.
      */
     Admit tryPush(QueuedJob job, QueuedJob *evicted = nullptr);
 
@@ -165,29 +176,25 @@ class RequestQueue
     void noteRejected(Status status, Priority priority = Priority::Normal);
 
     /**
-     * Block until at least one job is queued (or shutdown), then
-     * move out up to `max` jobs in weighted round-robin order
-     * (interactive 4 : normal 2 : batch 1; FIFO within a class).
-     * The moved jobs are accounted inflight until markDone().
-     * Returns an empty vector only when shutting down with nothing
-     * left.
+     * Block until `lane` holds a job (or shutdown), then move out up
+     * to `max` of its jobs in weighted round-robin order (interactive
+     * 4 : normal 2 : batch 1; FIFO within a class).  The lane keeps
+     * its round position between calls.  The moved jobs are
+     * accounted inflight until markDone().  Returns empty, with
+     * nothing shed, only when shutting down with the lane empty.
      *
      * When `shed` is non-null, jobs whose deadline has already passed
      * are moved into it instead of the batch (counted shedDeadline,
-     * never inflight); the dispatcher runs their onShed closures off
-     * the queue lock.  Shed jobs do not count against `max`.  With
-     * `shed` null (the default) expired jobs drain normally.
+     * never inflight); the caller runs their onShed closures off the
+     * queue lock.  Shed jobs do not count against `max` or the class
+     * quota.  With `shed` null (the default) expired jobs drain
+     * normally.
      */
-    std::vector<QueuedJob> drain(size_t max,
+    std::vector<QueuedJob> drain(size_t lane, size_t max,
                                  std::vector<QueuedJob> *shed = nullptr);
 
-    /**
-     * Retire `n` drained jobs (dispatcher, after the pool returns).
-     * The overload with per-class counts also advances the class
-     * ledgers' completed columns.
-     */
-    void markDone(size_t n);
-    void markDone(const std::array<uint64_t, kPriorityClasses> &byClass);
+    /** Retire one drained job of class `priority` (after it replied). */
+    void markDone(Priority priority);
 
     /**
      * Flip the brownout latch.  While active, the effective admission
@@ -199,11 +206,11 @@ class RequestQueue
     /** Whether the brownout latch is currently set. */
     bool brownout() const;
 
-    /** Reject new pushes from now on; drain() keeps emptying. */
+    /**
+     * Reject new pushes from now on and wake every lane; drain()
+     * keeps emptying each lane and then returns empty.
+     */
     void beginShutdown();
-
-    /** Block until queued == 0 and inflight == 0. */
-    void waitDrained();
 
     /** Coherent counter snapshot (single mutex acquisition). */
     QueueStats stats() const;
@@ -211,6 +218,32 @@ class RequestQueue
     size_t depth() const { return capacity; }
 
   private:
+    /** A queued job stamped with its admission order. */
+    struct Entry {
+        uint64_t seq;
+        QueuedJob job;
+    };
+
+    /** One shard's jobs, per class, and its weighted-drain position. */
+    struct Lane {
+        std::array<std::deque<Entry>, kPriorityClasses> jobs;
+        std::condition_variable readable; ///< job filed / shutdown
+        // The class spending its quota, and the slots it has left.
+        // Starting spent on the lowest class makes the first drain
+        // wrap to the top class with a full quota.
+        size_t turn = 0;
+        size_t quota = 0;
+
+        bool
+        empty() const
+        {
+            for (const std::deque<Entry> &cls : jobs)
+                if (!cls.empty())
+                    return false;
+            return true;
+        }
+    };
+
     /** Admission bound under the current brownout state (locked). */
     size_t effectiveDepth() const;
 
@@ -218,10 +251,9 @@ class RequestQueue
     const size_t brownoutCapacity;
 
     mutable std::mutex mutex;
-    std::condition_variable readable; ///< jobs available / shutdown
-    std::condition_variable drained;  ///< everything retired
-    std::array<std::deque<QueuedJob>, kPriorityClasses> jobs;
+    std::vector<std::unique_ptr<Lane>> lanes;
     QueueStats counters;
+    uint64_t admissions = 0; ///< admission sequence (eviction order)
     bool shuttingDown = false;
     bool brownoutActive = false;
 };

@@ -52,8 +52,7 @@ toSolveReply(const api::RaceResult &result)
 AlignServer::AlignServer(ServerConfig config)
     : cfg(std::move(config)),
       shards(cfg.workers == 0 ? 1 : cfg.workers, cfg.engine),
-      queue(cfg.queueDepth, cfg.brownoutDepth),
-      pool(cfg.workers == 0 ? 1 : cfg.workers),
+      queue(shards.shardCount(), cfg.queueDepth, cfg.brownoutDepth),
       budget(cfg.memBudgetBytes),
       serveAlphabet(cfg.graph ? cfg.graph->alphabet()
                               : bio::Alphabet("ACGT"))
@@ -92,7 +91,7 @@ AlignServer::reloadGraph(
             "reload needs a score matrix (none currently loaded)");
     // Compile-check on the calling thread -- the same validation a
     // GraphAlign plan build runs -- so an uncompilable graph/matrix
-    // pair is a typed failure here, never a worker fatal later.  The
+    // pair is a typed failure here, never a lane-thread fatal later.  The
     // validation compile IS the plan: hand it to the shards so the
     // first post-swap GraphAlign hits a warm cache instead of paying
     // a second synthesis under the daemon-wide build lock.
@@ -191,7 +190,7 @@ AlignServer::metricsSnapshot() const
     // Brownout observability: the gauge mirrors exactly what Health
     // reports, and the rl_mem_* gauges expose the same usage the
     // janitor feeds into the budget latch.
-    gauge("rl_serve_brownout", budget.browned() ? 1 : 0);
+    gauge("rl_serve_brownout", brownedOut() ? 1 : 0);
     gauge("rl_mem_plan_cache_bytes",
           static_cast<int64_t>(shards.planCacheBytesTotal()));
     gauge("rl_mem_scratch_bytes",
@@ -305,7 +304,8 @@ AlignServer::start()
         return false;
 
     startTime = std::chrono::steady_clock::now();
-    dispatcher = std::thread([this] { dispatchLoop(); });
+    for (size_t lane = 0; lane < shards.shardCount(); ++lane)
+        laneThreads.emplace_back([this, lane] { laneLoop(lane); });
     janitor = std::thread([this] { janitorLoop(); });
     if (unixListener.valid())
         acceptThreads.emplace_back(
@@ -354,14 +354,14 @@ AlignServer::stop()
         connectionThreads.clear();
     }
 
-    // 2. Drain: every admitted job runs and flushes its response.
+    // 2. Drain: each lane thread runs its admitted jobs, flushes
+    //    their responses, and returns once its lane is empty.
     queue.beginShutdown();
-    if (dispatcher.joinable())
-        dispatcher.join();
-    queue.waitDrained();
+    for (std::thread &t : laneThreads)
+        t.join();
+    laneThreads.clear();
 
-    // 3. Only now is it safe to retire the pool and the sockets.
-    pool.shutdownAndJoin();
+    // 3. Only now is it safe to retire the sockets.
     {
         std::lock_guard<std::mutex> lock(connectionsMutex);
         connections.clear();
@@ -536,7 +536,7 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
             HealthReply h;
             if (stopping.load(std::memory_order_acquire))
                 h.state = HealthState::Draining;
-            else if (budget.browned())
+            else if (brownedOut())
                 h.state = HealthState::Brownout;
             else
                 h.state = HealthState::Ready;
@@ -711,7 +711,7 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
         trace.solveStart = telemetry::RequestTrace::Clock::now();
         // trySolveOn re-validates before any plan build, so even a
         // problem that slipped past admission earns a typed reply
-        // here instead of tripping a library fatal on a worker.
+        // here instead of tripping a library fatal on a lane thread.
         // Every exit assigns `r` and falls through: the job must
         // record exactly one raced trace, because markDone() retires
         // it from the completed ledger no matter how it replied.
@@ -788,60 +788,32 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
 }
 
 void
-AlignServer::dispatchLoop()
+AlignServer::laneLoop(size_t lane)
 {
+    std::vector<QueuedJob> shed;
     for (;;) {
-        std::vector<QueuedJob> shed;
-        std::vector<QueuedJob> batch = queue.drain(
-            cfg.drainBatchMax == 0 ? 1 : cfg.drainBatchMax, &shed);
-        if (batch.empty() && shed.empty())
-            return; // shutdown with nothing left
-
-        // Group by shard: jobs for different shards run concurrently
-        // on the pool, jobs for the same shard run serially within
-        // their group (the engines are owner-thread-only).
-        std::vector<std::vector<QueuedJob *>> groups;
-        std::vector<size_t> groupShard;
-        for (QueuedJob &job : batch) {
-            size_t g = 0;
-            for (; g < groupShard.size(); ++g)
-                if (groupShard[g] == job.shard)
-                    break;
-            if (g == groupShard.size()) {
-                groupShard.push_back(job.shard);
-                groups.emplace_back();
+        shed.clear();
+        std::vector<QueuedJob> next = queue.drain(lane, 1, &shed);
+        if (next.empty() && shed.empty())
+            return; // shutdown with this lane empty
+        // A throwing job must not take the lane down with it: the
+        // affected request gets no reply, but it is still retired so
+        // the ledger and the shutdown drain stay whole.
+        auto guarded = [lane](const std::function<void()> &body) {
+            try {
+                body();
+            } catch (const std::exception &e) {
+                rl_warn("serve: job raised '", e.what(), "'; lane ",
+                        lane, " continues");
             }
-            groups[g].push_back(&job);
-        }
-
-        // Shed replies ride the pool as one extra group: the write
-        // (bounded by ioTimeoutMs) must not stall the dispatcher.
-        const size_t shedGroup = shed.empty() ? 0 : 1;
-        try {
-            pool.parallelFor(groups.size() + shedGroup, [&](size_t g) {
-                if (g == groups.size()) {
-                    for (QueuedJob &job : shed)
-                        if (job.onShed)
-                            job.onShed(Status::DeadlineExceeded);
-                    return;
-                }
-                for (QueuedJob *job : groups[g])
-                    job->run();
-            });
-        } catch (const std::exception &e) {
-            // A throwing job must not take the dispatcher down with
-            // it; the affected request simply never gets a reply.
-            rl_warn("serve: job raised '", e.what(),
-                    "'; dispatcher continues");
-        }
-        // Shed jobs were never inflight; only the raced batch retires
-        // -- per class, so the class ledgers' completed columns stay
-        // coherent with the global one.
-        if (!batch.empty()) {
-            std::array<uint64_t, kPriorityClasses> byClass{};
-            for (const QueuedJob &job : batch)
-                ++byClass[static_cast<size_t>(job.priority)];
-            queue.markDone(byClass);
+        };
+        for (QueuedJob &job : shed)
+            if (job.onShed)
+                guarded([&job] { job.onShed(Status::DeadlineExceeded); });
+        // Shed jobs were never inflight; only the raced job retires.
+        for (QueuedJob &job : next) {
+            guarded(job.run);
+            queue.markDone(job.priority);
         }
     }
 }
@@ -917,8 +889,8 @@ AlignServer::reply(Connection &conn, const Response &response,
     // A vanished peer is its own problem; the daemon just moves on.
     // A peer that stopped *reading* is worse: once the write deadline
     // trips the connection is severed, so a stalled receive window
-    // costs at most ioTimeoutMs of one worker's time -- it can never
-    // wedge the pool behind one slow socket.
+    // costs at most ioTimeoutMs of one lane thread's time -- it can
+    // never wedge a lane behind one slow socket.
     const IoStatus wrote =
         writeAll(conn.fd.get(), framed.data(), framed.size(), deadline);
     if (wrote == IoStatus::Timeout)

@@ -5,17 +5,21 @@
  * A long-lived alignment service around api::RaceEngine: connection
  * threads decode length-prefixed frames (rl/serve/wire.h), admission
  * control bounces anything oversized, undecodable, or beyond the
- * bounded queue's depth with a typed status, and a dispatcher drains
- * admitted jobs onto a util::ThreadPool, grouped by engine shard so
- * every plan-cache hit stays shard-local (rl/serve/shard.h).
+ * bounded queue's depth with a typed status, and each admitted job is
+ * filed in the queue lane of the engine shard it routes to
+ * (rl/serve/shard.h).  Every shard owns one long-lived thread that
+ * drains its lane one job at a time, so a plan-cache hit and the
+ * kernel's thread-local scratch both stay on that thread, and a slow
+ * race on one shard never holds up another.
  *
  * Stats and Ping requests are answered inline on the connection
  * thread -- the metrics endpoint must work *because* the daemon is
  * saturated, not when the queue gets around to it.
  *
  * Shutdown is a drain, not an abort: stop() parts with the listeners,
- * lets every admitted request finish, flushes its response, and only
- * then joins the pool.  tools/raceserved.cc wires this to SIGTERM.
+ * lets every lane run its admitted requests and flush their
+ * responses, and only then joins the lane threads.
+ * tools/raceserved.cc wires this to SIGTERM.
  */
 
 #ifndef RACELOGIC_SERVE_SERVER_H
@@ -43,7 +47,6 @@
 #include "rl/serve/wire.h"
 #include "rl/telemetry/registry.h"
 #include "rl/telemetry/trace.h"
-#include "rl/util/thread_pool.h"
 
 namespace racelogic::serve {
 
@@ -59,7 +62,7 @@ struct ServerConfig {
      */
     int tcpPort = -1;
 
-    /** Worker threads == engine shards. */
+    /** Engine shards, each with its own lane thread (0 means 1). */
     size_t workers = 4;
 
     /** Admission bound on outstanding (queued + inflight) requests. */
@@ -82,14 +85,11 @@ struct ServerConfig {
     int64_t janitorIntervalMs = 50;
 
     /**
-     * A worker's thread-local scratch arenas are shrunk after this
+     * A lane thread's thread-local scratch arenas are shrunk after this
      * much idle time (ms; 0 disables the idle shrink -- brownout
      * reclaim still shrinks them).
      */
     int64_t scratchIdleMs = 2000;
-
-    /** Max jobs the dispatcher moves onto the pool per drain. */
-    size_t drainBatchMax = 16;
 
     /** Frame payload ceiling (wire-level admission). */
     uint32_t maxFrameBytes = kDefaultMaxFrameBytes;
@@ -113,7 +113,7 @@ struct ServerConfig {
      * writing a response to a peer that stopped reading (stalled
      * receive window).  Tripping it severs the connection -- framing
      * is gone either way -- so one bad peer costs at most ioTimeoutMs
-     * of one thread's time, never a pinned reader or dispatcher.
+     * of one thread's time, never a pinned reader or lane.
      */
     int64_t ioTimeoutMs = 10000;
 
@@ -161,7 +161,7 @@ struct ServerConfig {
 };
 
 /**
- * The serving daemon.  start() spawns the accept/dispatch machinery
+ * The serving daemon.  start() spawns the accept and lane threads
  * and returns; stop() drains and joins everything.  One start/stop
  * cycle per instance.
  */
@@ -186,8 +186,12 @@ class AlignServer
     /** Coherent admission counters (safe from any thread). */
     QueueStats queueStats() const { return queue.stats(); }
 
-    /** Current brownout latch state (safe from any thread). */
-    bool brownedOut() const { return budget.browned(); }
+    /**
+     * Current brownout state, read from the queue's latch -- the one
+     * admission enforces -- so no observer sees a brownout that
+     * admission does not yet apply (safe from any thread).
+     */
+    bool brownedOut() const { return queue.brownout(); }
 
     /** The graph registry's current version (0 = none loaded). */
     uint64_t graphVersion() const { return shards.graphVersion(); }
@@ -198,7 +202,7 @@ class AlignServer
      * file and calls this; tests call it directly).
      *
      * The new graph is validated and compiled on the *calling*
-     * thread (never the dispatcher), then swapped into the versioned
+     * thread (never a lane thread), then swapped into the versioned
      * registry under the build mutex.  In-flight and queued solves
      * keep racing the snapshot they admitted with -- pinned by
      * shared_ptr, bit-identical results -- while new admissions see
@@ -230,7 +234,7 @@ class AlignServer
 
   private:
     /** One accepted connection: fd plus a reply-serializing mutex
-     *  shared between its reader thread and the worker pool. */
+     *  shared between its reader thread and the lane threads. */
     struct Connection {
         ScopedFd fd;
         std::mutex writeMutex;
@@ -266,13 +270,19 @@ class AlignServer
 
     void acceptLoop(int listenFd);
     void connectionLoop(std::shared_ptr<Connection> conn);
-    void dispatchLoop();
 
     /**
-     * Periodic housekeeping off the dispatcher thread: samples plan
+     * One shard's run loop: drain its lane one job at a time, race
+     * the job (or send its deadline-shed reply), retire it with
+     * markDone(), and return once shutdown has emptied the lane.
+     */
+    void laneLoop(size_t lane);
+
+    /**
+     * Periodic housekeeping off the lane threads: samples plan
      * cache + scratch arena bytes into the memory budget, drives the
      * brownout latch (admission depth, batch shedding, reclaim), and
-     * shrinks idle workers' scratch arenas.
+     * shrinks idle lane threads' scratch arenas.
      */
     void janitorLoop();
 
@@ -316,7 +326,6 @@ class AlignServer
 
     EngineShards shards;
     RequestQueue queue;
-    util::ThreadPool pool;
     MemoryBudget budget;
 
     /** Alphabet requests decode against; fixed across reloads. */
@@ -333,7 +342,7 @@ class AlignServer
 
     std::atomic<bool> stopping{false};
     std::vector<std::thread> acceptThreads;
-    std::thread dispatcher;
+    std::vector<std::thread> laneThreads;
 
     std::thread janitor;
     std::mutex janitorMutex;

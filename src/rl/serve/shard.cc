@@ -26,9 +26,9 @@ EngineShards::EngineShards(size_t shardCount,
 {
     rl_assert(shardCount > 0, "at least one engine shard is required");
     api::EngineConfig shardConfig = config;
-    // Each shard solves serially on its dispatcher-assigned pool
-    // thread; parallelism comes from sharding, and a nested per-shard
-    // pool would oversubscribe the host.
+    // Each shard solves serially on its own lane thread; parallelism
+    // comes from sharding, and a nested per-shard pool would
+    // oversubscribe the host.
     shardConfig.workerThreads = 1;
     shards.reserve(shardCount);
     for (size_t i = 0; i < shardCount; ++i)
@@ -49,8 +49,8 @@ EngineShards::solveOn(size_t shard, const api::RaceProblem &problem)
 {
     rl_assert(shard < shards.size(), "shard index out of range");
     Shard &s = *shards[shard];
-    // Uncontended on the hot path (the dispatcher serializes
-    // same-shard jobs); keeps reload eviction and brownout reclaim
+    // Uncontended on the hot path (only the shard's lane thread
+    // solves on it); keeps reload eviction and brownout reclaim
     // off a live solve's plan cache.
     std::lock_guard<std::mutex> engineLock(s.engineMutex);
 

@@ -1,15 +1,16 @@
 /**
  * @file
- * Sharded plan caches: one RaceEngine per worker shard.
+ * Sharded plan caches: one RaceEngine per shard, one thread per shard.
  *
  * The api::RaceEngine's plan cache is deliberately single-threaded --
  * fast, no locks, owner-thread-only.  A serving daemon wants many
- * workers without putting a global lock on plan acquisition, so the
+ * threads without putting a global lock on plan acquisition, so the
  * serve layer shards: W independent engines, each with its own
- * shape-keyed LRU, and requests routed by hashing the *plan key*
- * (shapeKey), so every request for the same fabric shape lands on
- * the same shard and its plan-cache hit is entirely shard-local --
- * no shared state touched at all on the hot path.
+ * shape-keyed LRU and its own long-lived lane thread (the only
+ * thread that ever solves on it), and requests routed by hashing the
+ * *plan key* (shapeKey), so every request for the same fabric shape
+ * lands on the same shard and its plan-cache hit is entirely
+ * shard-local -- no shared state touched at all on the hot path.
  *
  * Only a plan-cache *miss* (a shape this shard has never planned, or
  * a per-instance kind like DTW/affine that has no reusable plan)
@@ -62,9 +63,11 @@ struct GraphSnapshot {
  * W sharded engines behind one facade.
  *
  * Thread contract: solveOn(shard, ...) may be called concurrently
- * for *different* shards but never concurrently for the same shard
- * (the dispatcher groups a drained batch by shard and runs each
- * group serially).  statsSnapshot() is safe from any thread.
+ * for *different* shards but never concurrently for the same shard.
+ * The daemon meets it by construction: each shard's jobs run only on
+ * that shard's own lane thread (rl/serve/queue.h), so an engine and
+ * its kernel scratch never change threads.  statsSnapshot() is safe
+ * from any thread.
  */
 class EngineShards
 {
@@ -155,10 +158,10 @@ class EngineShards
         mutable std::mutex countersMutex;
 
         /**
-         * Serializes engine access between the dispatcher's solve
+         * Serializes engine access between the lane thread's solve
          * path and control-plane work (reload eviction, brownout
-         * reclaim).  Uncontended on the hot path -- the dispatcher
-         * already runs same-shard jobs serially.
+         * reclaim).  Uncontended on the hot path -- only the lane
+         * thread ever solves on this shard.
          */
         std::mutex engineMutex;
     };

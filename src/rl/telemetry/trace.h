@@ -9,8 +9,8 @@
  *   readStart ── body read ──▶ readDone (arrival)
  *            ── decode ──────▶ decodeDone
  *            ── admit ───────▶ admitDone        (budgets + tryPush)
- *            ── queue wait ──▶ dispatchStart    (drained by dispatcher)
- *            ── dispatch ────▶ solveStart       (grouped, pool handoff)
+ *            ── queue wait ──▶ dispatchStart    (picked up by shard's thread)
+ *            ── dispatch ────▶ solveStart       (cancel token, counters)
  *            ── solve ───────▶ solveDone        (the race)
  *            ── encode ──────▶ encodeDone       (response bytes built)
  *            ── write ───────▶ writeDone        (response flushed)
@@ -52,8 +52,8 @@ struct RequestTrace {
     TimePoint readDone;      ///< body fully read (the arrival stamp)
     TimePoint decodeDone;    ///< decodeRequest returned
     TimePoint admitDone;     ///< budgets checked, job pushed (or bounced)
-    TimePoint dispatchStart; ///< dispatcher drained the job
-    TimePoint solveStart;    ///< shard group reached the worker
+    TimePoint dispatchStart; ///< the shard's lane thread picked it up
+    TimePoint solveStart;    ///< solve set-up done, engine called
     TimePoint solveDone;     ///< engine returned
     TimePoint encodeDone;    ///< response frame built
     TimePoint writeDone;     ///< response flushed to the socket

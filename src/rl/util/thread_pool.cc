@@ -1,7 +1,5 @@
 #include "rl/util/thread_pool.h"
 
-#include "rl/util/logging.h"
-
 namespace racelogic::util {
 
 size_t
@@ -23,26 +21,13 @@ ThreadPool::ThreadPool(size_t threads)
 
 ThreadPool::~ThreadPool()
 {
-    // Explicit shutdownAndJoin() already emptied `workers`; joining
-    // here again would be a no-op loop over nothing.
-    if (!workers.empty())
-        shutdownAndJoin();
-}
-
-void
-ThreadPool::shutdownAndJoin()
-{
     {
         std::lock_guard<std::mutex> lock(mutex);
-        rl_assert(!shutdown,
-                  "ThreadPool already shut down; a second explicit "
-                  "shutdownAndJoin() is a caller lifecycle bug");
         shutdown = true;
     }
     wakeWorkers.notify_all();
     for (std::thread &worker : workers)
         worker.join();
-    workers.clear();
 }
 
 void
@@ -104,8 +89,6 @@ ThreadPool::parallelFor(size_t n,
     }
 
     std::unique_lock<std::mutex> lock(mutex);
-    rl_assert(!shutdown,
-              "parallelFor() on a ThreadPool that was shut down");
     // Publish the batch only once every worker is back in wait():
     // a straggler from the previous batch could otherwise claim the
     // reset index counter against its stale body pointer.

@@ -66,17 +66,6 @@ class ThreadPool
     void parallelFor(size_t count,
                      const std::function<void(size_t)> &body);
 
-    /**
-     * Stop the workers and join them; after this the pool is dead
-     * and parallelFor() must not be called again.  Idempotent with
-     * the destructor (which only joins if this was never called) but
-     * deliberately NOT with itself: a second explicit shutdown is a
-     * lifecycle bug in the caller and panics.  The serve daemon
-     * calls this on SIGTERM to guarantee every drained request
-     * finished before the process exits.
-     */
-    void shutdownAndJoin();
-
     /** hardware_concurrency with a floor of 1. */
     static size_t defaultThreadCount();
 

@@ -493,7 +493,7 @@ TEST(EngineShards, ReloadNeverDeadlocksAgainstPlanMissSolves)
 
     // Each solver hammers one graph's shape, so its shard misses
     // afresh after every swap's eviction.  Concurrent solves on the
-    // same shard are outside the dispatcher's normal schedule but
+    // same shard are outside the lane threads' normal schedule but
     // explicitly safe (engineMutex serializes them), so the test
     // holds regardless of which shard each shape hashes to.
     std::atomic<bool> done{false};

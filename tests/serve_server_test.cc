@@ -19,7 +19,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -34,6 +36,7 @@
 #include "rl/pangraph/gfa.h"
 #include "rl/serve/client.h"
 #include "rl/serve/server.h"
+#include "rl/serve/shard.h"
 
 namespace {
 
@@ -548,6 +551,113 @@ TEST(ServeServer, WarmShapeTrafficNeverTakesTheBuildLock)
     server.stop();
 }
 
+// --------------------------------------------------------- shard lanes
+
+/** The shard a pairwise request of these lengths routes to. */
+size_t
+pairwiseShard(const EngineShards &shards, size_t la, size_t lb)
+{
+    const bio::Alphabet dna("ACGT");
+    return shards.shardFor(api::RaceProblem::pairwiseAlignment(
+        fig2b(), bio::Sequence(dna, dnaString(la, 1)),
+        bio::Sequence(dna, dnaString(lb, 2))));
+}
+
+TEST(ServeServer, ShortRequestOnAnIdleShardOvertakesASlowShard)
+{
+    // Each shard's thread drains its own lane, so a long race on one
+    // shard must not hold a short request routed to the other.  A
+    // batch barrier over all shards would hold the short reply until
+    // the long race finished.
+    ServerConfig cfg = tcpConfig(); // two shards
+    const EngineShards probe(cfg.workers, cfg.engine);
+    const size_t slowShard = pairwiseShard(probe, 2000, 2000);
+    size_t shortLen = 24;
+    while (pairwiseShard(probe, shortLen, shortLen) == slowShard)
+        ++shortLen;
+
+    AlignServer server(std::move(cfg));
+    ASSERT_TRUE(server.start());
+    ServeClient client = ServeClient::overTcp(server.port());
+    ServeClient prober = ServeClient::overTcp(server.port());
+
+    ASSERT_TRUE(client.submitPairwise(1, fig2b(), dnaString(2000, 1),
+                                      dnaString(2000, 2)));
+    // Wait until the slow race is in flight, not merely queued.
+    Response stats;
+    for (uint32_t probeId = 100;; ++probeId) {
+        ASSERT_TRUE(prober.submitStats(probeId));
+        ASSERT_TRUE(prober.receive(stats));
+        ASSERT_TRUE(stats.queueStats.has_value());
+        if (stats.queueStats->inflight == 1)
+            break;
+        ASSERT_LT(probeId, 5100u) << "slow race never went in flight";
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    ASSERT_TRUE(client.submitPairwise(2, fig2b(),
+                                      dnaString(shortLen, 1),
+                                      dnaString(shortLen, 2)));
+
+    Response first, second;
+    ASSERT_TRUE(client.receive(first));
+    ASSERT_TRUE(client.receive(second));
+    EXPECT_EQ(first.id, 2u) << "the short reply waited for the slow race";
+    EXPECT_EQ(first.status, Status::Ok);
+    EXPECT_EQ(second.id, 1u);
+    EXPECT_EQ(second.status, Status::Ok);
+    server.stop();
+}
+
+TEST(ServeServer, EachShardRacesOnOneThread)
+{
+    // The shard's engine and its kernels' thread-local scratch stay on
+    // one thread: every raced trace of a shard is recorded on the same
+    // thread, and the two shards use different ones.
+    std::mutex mutex;
+    std::map<uint32_t, std::thread::id> racedOn;
+    ServerConfig cfg = tcpConfig();
+    cfg.traceHook = [&](const telemetry::RequestTrace &t) {
+        if (t.tag != static_cast<uint8_t>(RequestTag::Pairwise) ||
+            t.status != static_cast<uint8_t>(Status::Ok))
+            return;
+        std::lock_guard<std::mutex> lock(mutex);
+        racedOn[t.id] = std::this_thread::get_id();
+    };
+    const EngineShards probe(cfg.workers, cfg.engine);
+    AlignServer server(std::move(cfg));
+    ASSERT_TRUE(server.start());
+    ServeClient client = ServeClient::overTcp(server.port());
+
+    // Shapes spread over both shards, pipelined eight at a time.
+    std::map<uint32_t, size_t> shardOf;
+    uint32_t id = 0;
+    for (int window = 0; window < 6; ++window) {
+        for (int w = 0; w < 8; ++w, ++id) {
+            const size_t len = 16 + id % 12;
+            shardOf[id] = pairwiseShard(probe, len, len);
+            ASSERT_TRUE(client.submitPairwise(id, fig2b(),
+                                              dnaString(len, 1),
+                                              dnaString(len, 2)));
+        }
+        for (int w = 0; w < 8; ++w) {
+            Response response;
+            ASSERT_TRUE(client.receive(response));
+            ASSERT_EQ(response.status, Status::Ok);
+        }
+    }
+    server.stop();
+
+    std::lock_guard<std::mutex> lock(mutex);
+    ASSERT_EQ(racedOn.size(), shardOf.size());
+    std::map<size_t, std::set<std::thread::id>> threadsOf;
+    for (const auto &[raced, thread] : racedOn)
+        threadsOf[shardOf[raced]].insert(thread);
+    ASSERT_EQ(threadsOf.size(), 2u) << "the shapes must cover both shards";
+    for (const auto &[shard, threads] : threadsOf)
+        EXPECT_EQ(threads.size(), 1u) << "shard " << shard;
+    EXPECT_NE(*threadsOf[0].begin(), *threadsOf[1].begin());
+}
+
 // ------------------------------------------------------- protocol abuse
 
 TEST(ServeServer, OversizedLengthPrefixGetsTypedReplyThenClose)
@@ -768,18 +878,19 @@ TEST(ServeServer, QueuedRequestPastDeadlineIsShedNotRaced)
     ServerConfig cfg = tcpConfig();
     cfg.workers = 1;
     cfg.queueDepth = 8;
-    cfg.drainBatchMax = 1; // one job per drain: the second waits
     AlignServer server(std::move(cfg));
     ASSERT_TRUE(server.start());
     ServeClient client = ServeClient::overTcp(server.port());
 
-    // The blocker holds the single worker well past the doomed
-    // request's 1 ms deadline; the doomed job is still queued when the
-    // dispatcher next drains, so it is shed without touching a shard.
-    ASSERT_TRUE(client.submitPairwise(1, fig2b(), dnaString(500, 41),
-                                      dnaString(500, 42)));
-    ASSERT_TRUE(client.submitPairwise(2, fig2b(), dnaString(500, 43),
-                                      dnaString(500, 44), 1));
+    // The blocker holds the single lane thread well past the doomed
+    // request's 1 ms deadline (a 2001x2001 race takes several ms; a
+    // 501x501 one can finish inside 1 ms); the lane takes one job at
+    // a time, so the doomed job is still queued when the lane next
+    // drains and is shed without touching a shard.
+    ASSERT_TRUE(client.submitPairwise(1, fig2b(), dnaString(2000, 41),
+                                      dnaString(2000, 42)));
+    ASSERT_TRUE(client.submitPairwise(2, fig2b(), dnaString(2000, 43),
+                                      dnaString(2000, 44), 1));
 
     size_t ok = 0, shed = 0;
     for (int i = 0; i < 2; ++i) {

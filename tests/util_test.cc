@@ -358,34 +358,4 @@ TEST(ThreadPool, UsableAfterABatchThrew)
     EXPECT_EQ(ran.load(), 8);
 }
 
-TEST(ThreadPool, ExplicitShutdownThenDestructorIsClean)
-{
-    util::ThreadPool pool(2);
-    pool.parallelFor(4, [](size_t) {});
-    pool.shutdownAndJoin();
-    // Destructor runs next -- it must notice the pool is already down.
-}
-
-TEST(ThreadPoolDeath, DoubleExplicitShutdownPanics)
-{
-    EXPECT_DEATH(
-        {
-            util::ThreadPool pool(2);
-            pool.shutdownAndJoin();
-            pool.shutdownAndJoin();
-        },
-        "already shut down");
-}
-
-TEST(ThreadPoolDeath, ParallelForAfterShutdownPanics)
-{
-    EXPECT_DEATH(
-        {
-            util::ThreadPool pool(2);
-            pool.shutdownAndJoin();
-            pool.parallelFor(1, [](size_t) {});
-        },
-        "shut down");
-}
-
 } // namespace
