@@ -17,7 +17,7 @@
 #include "rl/core/kernel_counters.h"
 #include "rl/core/race_grid.h"
 #include "rl/core/race_grid_circuit.h"
-#include "rl/core/wavefront.h"
+#include "rl/core/race_network.h"
 #include "rl/systolic/lipton_lopresti.h"
 #include "rl/util/random.h"
 
@@ -92,8 +92,8 @@ BM_HeapEventQueueRace(benchmark::State &state)
 {
     // The pre-kernel pipeline: materialize the edit graph, race it on
     // the heap-scheduled event queue (one std::function per edge
-    // arrival).  Kept as the baseline the wavefront kernel is
-    // measured against.
+    // arrival).  Kept as the contrast core::raceDag's topological
+    // sweep (BM_RaceDag) is measured against.
     size_t n = size_t(state.range(0));
     auto [a, b] = randomPair(2, n);
     ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
@@ -111,25 +111,24 @@ BM_HeapEventQueueRace(benchmark::State &state)
 BENCHMARK(BM_HeapEventQueueRace)->Arg(16)->Arg(64)->Arg(256);
 
 void
-BM_WavefrontKernelDag(benchmark::State &state)
+BM_RaceDag(benchmark::State &state)
 {
-    // The general CSR bucket kernel on a prebuilt DAG (the DTW /
-    // DAG-path substrate), isolating kernel cost from graph
+    // core::raceDag's topological sweep on a prebuilt DAG (the DAG-path
+    // and GateLevel product substrate), isolating the race from graph
     // construction.
     size_t n = size_t(state.range(0));
     auto [a, b] = randomPair(2, n);
     ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
     bio::EditGraph eg = bio::makeEditGraph(a, b, m);
-    core::WavefrontRaceKernel kernel(eg.dag);
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            kernel.race({eg.source}, core::RaceType::Or)
+            core::raceDag(eg.dag, {eg.source}, core::RaceType::Or)
                 .at(eg.sink)
                 .rawTime());
     state.SetItemsProcessed(int64_t(state.iterations()) *
                             int64_t(n) * int64_t(n));
 }
-BENCHMARK(BM_WavefrontKernelDag)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_RaceDag)->Arg(16)->Arg(64)->Arg(256);
 
 void
 BM_ScreeningRaceWithHorizon(benchmark::State &state)

@@ -119,30 +119,6 @@ RaceEngine::Plan::residentBytes() const
 
 namespace {
 
-/** Wall time of `cycles` race clocks under `lib` (ns). */
-double
-raceWallNs(const tech::CellLibrary &lib, sim::Tick cycles)
-{
-    return static_cast<double>(cycles) * lib.racePeriodNs;
-}
-
-/**
- * Price `est` from a netlist the engine actually raced (the ModelSim
- * -> PrimeTime stand-in): area from its gate inventory, energy as
- * measured from its simulated switching activity.
- */
-void
-priceFromNetlist(const tech::CellLibrary &lib,
-                 const circuit::Netlist &netlist, double energyJ,
-                 HardwareEstimate &est)
-{
-    const auto counts = netlist.typeCounts();
-    est.areaUm2 = lib.areaOfInventory(counts);
-    est.energyJ = energyJ;
-    est.gateCount = netlist.gateCount();
-    est.dffCount = counts[static_cast<size_t>(circuit::GateType::Dff)];
-}
-
 /** True iff the two matrices describe identical edit weights. */
 bool
 sameMatrix(const bio::ScoreMatrix &lhs, const bio::ScoreMatrix &rhs)
@@ -163,19 +139,246 @@ sameMatrix(const bio::ScoreMatrix &lhs, const bio::ScoreMatrix &rhs)
     return true;
 }
 
-/** Apply the threshold verdict to a completed-or-not OR-race result. */
-void
-applyThresholdVerdict(bio::Score threshold, RaceResult &result)
+/** Kinds the Lipton-Lopresti array races: Fig. 2b pairwise grids. */
+bool
+systolicKind(ProblemKind kind)
 {
-    if (!result.completed) {
-        result.accepted = false;
-        result.cyclesUsed = result.latencyCycles;
-        return;
-    }
-    const bool over = result.racedCost > threshold;
-    result.accepted = !over;
+    return kind == ProblemKind::PairwiseAlignment ||
+           kind == ProblemKind::ThresholdScreen;
+}
+
+/** Kinds that race one cached rows x cols grid plan. */
+bool
+gridFamilyKind(ProblemKind kind)
+{
+    return kind == ProblemKind::PairwiseAlignment ||
+           kind == ProblemKind::GeneralizedAlignment ||
+           kind == ProblemKind::ThresholdScreen;
+}
+
+/** Kinds with a cached plan (the acquire-then-race batch pattern). */
+bool
+planFamilyKind(ProblemKind kind)
+{
+    return gridFamilyKind(kind) || kind == ProblemKind::GraphAlign;
+}
+
+/**
+ * True iff `problem` is a Section 6 screen: its own threshold bounds
+ * the race, and a rejection reveals only the verdict.  A GraphAlign
+ * problem screens when it carries a threshold.
+ */
+bool
+screens(const RaceProblem &problem)
+{
+    return problem.kind == ProblemKind::ThresholdScreen ||
+           (problem.kind == ProblemKind::GraphAlign &&
+            problem.threshold != bio::kScoreInfinity);
+}
+
+/** A DagPath's gate family: shortest races OR, longest races AND. */
+core::RaceType
+dagRaceType(const RaceProblem &problem)
+{
+    return problem.objective == graph::Objective::Shortest
+               ? core::RaceType::Or
+               : core::RaceType::And;
+}
+
+/**
+ * The threshold in force: a screen's own, else the engine-wide one.
+ * An AND race has none -- early termination is an OR-race property,
+ * and a MAX race's answer is not known until the end.
+ */
+bio::Score
+thresholdFor(const RaceProblem &problem, const EngineConfig &cfg)
+{
+    if (screens(problem))
+        return problem.threshold;
+    if (problem.kind == ProblemKind::DagPath &&
+        dagRaceType(problem) == core::RaceType::And)
+        return bio::kScoreInfinity;
+    return cfg.threshold;
+}
+
+/**
+ * Shape a raced result into its verdict.  Accepted iff the sink fired
+ * within `threshold`; cyclesUsed is the latency, clamped to the
+ * threshold when the race exceeded it.  A cancelled race reveals
+ * nothing, and a rejected screen only that its score exceeds the
+ * threshold: both come back completed = false, score kScoreInfinity
+ * and without per-node arrival detail (graphMapping() needs a
+ * completed race, and keeping the product arrivals would make
+ * screening batches scale as reads x product size).  Engine-wide
+ * thresholds on other kinds keep the exact score of a rejection.
+ */
+void
+applyVerdict(const RaceProblem &problem, bio::Score threshold,
+             RaceResult &result)
+{
+    const bool over = result.completed && result.racedCost > threshold;
+    result.accepted = result.completed && !over;
     result.cyclesUsed = over ? static_cast<sim::Tick>(threshold)
                              : result.latencyCycles;
+    if (result.cancelled || (screens(problem) && !result.accepted)) {
+        result.completed = false;
+        result.accepted = false;
+        result.nodeArrival.clear();
+        result.nodeArrival.shrink_to_fit();
+    }
+    if (!result.completed)
+        result.score = bio::kScoreInfinity;
+}
+
+/**
+ * Copy a DAG or lattice race outcome into `result`: the sink's
+ * arrival (the raw score), the race's counts and per-node arrivals.
+ * A cancelled outcome defines only cancelled, completed (false) and
+ * racedCost (kScoreInfinity).
+ */
+void
+shapeRaceOutcome(core::RaceOutcome outcome, graph::NodeId sink,
+                 RaceResult &result)
+{
+    if (outcome.cancelled) {
+        result.cancelled = true;
+        result.completed = false;
+        result.racedCost = bio::kScoreInfinity;
+        return;
+    }
+    core::TemporalValue arrival = outcome.at(sink);
+    result.events = outcome.events;
+    result.nodes = outcome.firing.size();
+    result.completed = arrival.fired();
+    result.latencyCycles =
+        arrival.fired() ? arrival.time() : outcome.horizon;
+    result.racedCost = arrival.fired()
+                           ? static_cast<bio::Score>(arrival.time())
+                           : bio::kScoreInfinity;
+    result.score = result.racedCost;
+    result.nodeArrival = std::move(outcome.firing);
+    result.cellsFired = static_cast<size_t>(std::count_if(
+        result.nodeArrival.begin(), result.nodeArrival.end(),
+        [](const core::TemporalValue &v) { return v.fired(); }));
+}
+
+/**
+ * The gate-level cycle budget of a replay.  Any finite threshold
+ * becomes the budget -- the hardware realization of Section 6's
+ * abort -- so the priced switching activity covers exactly the
+ * cycles the fabric is busy; floor 1, because threshold 0 must reject
+ * after a single cycle (all weights are >= 1).  A full race runs to
+ * its sink; the slack only bounds a netlist that disagrees.
+ */
+uint64_t
+gateBudget(bio::Score threshold, const RaceResult &result)
+{
+    return threshold == bio::kScoreInfinity
+               ? static_cast<uint64_t>(result.racedCost) + 4
+               : std::max<uint64_t>(static_cast<uint64_t>(threshold), 1);
+}
+
+/**
+ * Cross-check a gate-level run against the behavioral result it
+ * replays.  Both clocked to the same threshold, so they agree exactly
+ * when both sinks fired.  A sink that fired only on the gates must
+ * be past the threshold: the behavioral race aborted at its horizon,
+ * and the gates ran to the budget's floor of 1 or, lane-packed, to
+ * the chunk's largest budget.  A sink that never fired must be a
+ * rejection.
+ */
+void
+checkGateRun(bool fired, bio::Score gateScore, bio::Score threshold,
+             const RaceResult &result)
+{
+    if (fired && result.completed)
+        rl_assert(gateScore == result.racedCost,
+                  "gate-level race disagrees with the behavioral model: ",
+                  gateScore, " vs ", result.racedCost);
+    else if (fired)
+        rl_assert(gateScore > threshold,
+                  "gate-level race completed under a threshold the "
+                  "behavioral model aborted at");
+    else
+        rl_assert(threshold != bio::kScoreInfinity && !result.accepted,
+                  "gate-level race did not complete within budget");
+}
+
+/**
+ * Price `result`'s estimate from a netlist the engine actually raced
+ * (the ModelSim -> PrimeTime stand-in): area from its gate
+ * inventory, energy as measured from its simulated switching.
+ */
+void
+priceFromNetlist(const EngineConfig &cfg, const circuit::Netlist &netlist,
+                 double energyJ, RaceResult &result)
+{
+    if (!cfg.withEstimates || !result.estimate)
+        return;
+    const auto counts = netlist.typeCounts();
+    HardwareEstimate &est = *result.estimate;
+    est.areaUm2 = cfg.library->areaOfInventory(counts);
+    est.energyJ = energyJ;
+    est.gateCount = netlist.gateCount();
+    est.dffCount = counts[static_cast<size_t>(circuit::GateType::Dff)];
+}
+
+/**
+ * Replay a DAG race on gates: compile `dag` to a netlist, run it on
+ * the compiled levelized simulator to `budget`, cross-check the sink
+ * against the behavioral result and price the estimate from it.
+ */
+void
+replayDag(const graph::Dag &dag, const std::vector<graph::NodeId> &sources,
+          graph::NodeId sink, core::RaceType type, bio::Score threshold,
+          const EngineConfig &cfg, RaceResult &result)
+{
+    core::RaceCircuit compiled = core::compileRaceCircuit(dag, sources, type);
+    circuit::CompiledSim sim(compiled.netlist);
+    for (circuit::NetId input : compiled.sourceInputs)
+        sim.setInput(input, true);
+    auto arrival = sim.runUntil(compiled.nodeNets[sink], true,
+                                gateBudget(threshold, result));
+    checkGateRun(arrival.has_value(),
+                 static_cast<bio::Score>(arrival.value_or(0)), threshold,
+                 result);
+    priceFromNetlist(cfg, compiled.netlist,
+                     tech::energyFromActivityJ(*cfg.library,
+                                               sim.activity()),
+                     result);
+}
+
+/**
+ * A batch is "screening-shaped" when every problem races one shared
+ * fabric against varying runtime inputs: one cost matrix and query
+ * over a candidate database, or one pangenome plan over a read set.
+ * Exactly the workloads the core::batch fabric pool schedules.
+ */
+bool
+screeningShaped(const std::vector<RaceProblem> &problems)
+{
+    if (problems.empty())
+        return false;
+    const RaceProblem &first = problems.front();
+    if (first.kind == ProblemKind::GraphAlign) {
+        for (const RaceProblem &p : problems) {
+            if (p.kind != ProblemKind::GraphAlign)
+                return false;
+            if (p.vgraph != first.vgraph ||
+                !sameMatrix(*p.matrix, *first.matrix))
+                return false;
+        }
+        return true;
+    }
+    if (!first.matrix || !first.matrix->isCost() || !first.a)
+        return false;
+    for (const RaceProblem &p : problems) {
+        if (!systolicKind(p.kind))
+            return false;
+        if (!(*p.a == *first.a) || !sameMatrix(*p.matrix, *first.matrix))
+            return false;
+    }
+    return true;
 }
 
 } // namespace
@@ -275,48 +478,53 @@ RaceEngine::evictGraphPlans()
 std::shared_ptr<RaceEngine::Plan>
 RaceEngine::buildPlan(const RaceProblem &problem)
 {
+    auto plan = std::make_shared<Plan>();
+    plan->input = *problem.matrix;
     if (problem.kind == ProblemKind::GraphAlign) {
-        auto plan = std::make_shared<Plan>();
-        plan->input = *problem.matrix;
         plan->graphAligner = std::make_shared<pangraph::GraphAligner>(
             problem.vgraph, *problem.matrix, problem.lambda);
-        {
-            std::lock_guard<std::mutex> lock(statsMutex);
-            ++statistics.plansBuilt;
-        }
-        return plan;
-    }
-
-    auto plan = std::make_shared<Plan>();
-    plan->rows = problem.a->size();
-    plan->cols = problem.b->size();
-    plan->input = *problem.matrix;
-
-    const bio::ScoreMatrix &input = *plan->input;
-    if (input.isCost()) {
-        plan->behavioral.emplace(input);
     } else {
-        plan->conversion =
-            bio::toShortestPathForm(input, problem.lambda);
-        plan->behavioral.emplace(plan->conversion->costs);
-    }
-
-    if (cfg.backend == BackendKind::GateLevel)
-        plan->fabric = std::make_unique<core::GeneralizedGridCircuit>(
-            plan->costs(), plan->rows, plan->cols, cfg.encoding);
-    if (cfg.backend == BackendKind::Systolic)
-        plan->array = std::make_unique<systolic::LiptonLoprestiArray>(
-            plan->costs());
-    if (cfg.withEstimates && cfg.backend != BackendKind::Systolic) {
-        plan->cellInventory = core::GeneralizedGridCircuit::cellInventory(
-            plan->costs(), cfg.encoding);
-        plan->hasInventory = true;
+        plan->rows = problem.a->size();
+        plan->cols = problem.b->size();
+        const bio::ScoreMatrix &input = *plan->input;
+        if (input.isCost()) {
+            plan->behavioral.emplace(input);
+        } else {
+            plan->conversion =
+                bio::toShortestPathForm(input, problem.lambda);
+            plan->behavioral.emplace(plan->conversion->costs);
+        }
+        if (cfg.backend == BackendKind::GateLevel)
+            plan->fabric = std::make_unique<core::GeneralizedGridCircuit>(
+                plan->costs(), plan->rows, plan->cols, cfg.encoding);
+        if (cfg.backend == BackendKind::Systolic)
+            plan->array = std::make_unique<systolic::LiptonLoprestiArray>(
+                plan->costs());
+        if (cfg.withEstimates && cfg.backend != BackendKind::Systolic) {
+            plan->cellInventory =
+                core::GeneralizedGridCircuit::cellInventory(plan->costs(),
+                                                            cfg.encoding);
+            plan->hasInventory = true;
+        }
     }
     {
         std::lock_guard<std::mutex> lock(statsMutex);
         ++statistics.plansBuilt;
     }
     return plan;
+}
+
+void
+RaceEngine::insertPlan(std::string key, std::shared_ptr<Plan> plan)
+{
+    {
+        std::lock_guard<std::mutex> lock(statsMutex);
+        cacheBytes += plan->residentBytes();
+    }
+    lru.emplace_front(std::move(key), std::move(plan));
+    index[lru.front().first] = lru.begin();
+    while (lru.size() > cfg.planCacheCapacity)
+        evictLruPlan();
 }
 
 std::shared_ptr<RaceEngine::Plan>
@@ -354,14 +562,7 @@ RaceEngine::planFor(const RaceProblem &problem, bool recordHit)
     }
 
     auto plan = buildPlan(problem);
-    lru.emplace_front(key, plan);
-    index[key] = lru.begin();
-    {
-        std::lock_guard<std::mutex> lock(statsMutex);
-        cacheBytes += plan->residentBytes();
-    }
-    while (lru.size() > cfg.planCacheCapacity)
-        evictLruPlan();
+    insertPlan(std::move(key), plan);
     return plan;
 }
 
@@ -375,11 +576,8 @@ RaceEngine::validate(const RaceProblem &problem) const
     if (Status shape = checkShape(problem); !shape.ok())
         return shape;
     // Backend compatibility is this engine's concern, not the
-    // problem's: the Lipton-Lopresti array races Fig. 2b pairwise
-    // grids only (solve() asserts the same invariant).
-    if (cfg.backend == BackendKind::Systolic &&
-        problem.kind != ProblemKind::PairwiseAlignment &&
-        problem.kind != ProblemKind::ThresholdScreen)
+    // problem's (solve() asserts the same invariant).
+    if (cfg.backend == BackendKind::Systolic && !systolicKind(problem.kind))
         return Status::error(ErrorCode::Unsupported,
                              "the systolic baseline races pairwise "
                              "grids and threshold screens only");
@@ -416,99 +614,154 @@ RaceEngine::solve(const RaceProblem &problem)
         std::lock_guard<std::mutex> lock(statsMutex);
         ++statistics.solves;
     }
-    switch (problem.kind) {
-    case ProblemKind::PairwiseAlignment:
-    case ProblemKind::GeneralizedAlignment:
-    case ProblemKind::ThresholdScreen:
-        return solveGridFamily(problem);
-    case ProblemKind::Dtw:
-        return solveDtw(problem);
-    case ProblemKind::DagPath:
-        return solveDagPath(problem);
-    case ProblemKind::AffineAlignment:
-        return solveAffine(problem);
-    case ProblemKind::GraphAlign:
-        return solveGraphAlign(problem);
-    }
-    rl_assert(false, "unknown problem kind");
-    return RaceResult{};
+    rl_assert(cfg.backend != BackendKind::Systolic ||
+                  systolicKind(problem.kind),
+              "the systolic baseline races pairwise grids and threshold "
+              "screens only; race ", problemKindName(problem.kind),
+              " on the behavioral or gate-level backend");
+
+    std::shared_ptr<Plan> plan;
+    if (planFamilyKind(problem.kind))
+        plan = planFor(problem);
+    if (cfg.backend == BackendKind::Systolic)
+        return raceSystolic(problem, *plan);
+
+    // GateLevel GraphAlign races the product DAG it synthesizes (Fig.
+    // 3b, one OR gate per state, DFF chains per edit weight), built
+    // once -- materialization dominates the per-read cost.
+    std::optional<pangraph::AlignmentGraph> product;
+    if (cfg.backend == BackendKind::GateLevel &&
+        problem.kind == ProblemKind::GraphAlign)
+        product = pangraph::buildAlignmentGraph(
+            plan->graphAligner->compiled(), *problem.a,
+            plan->graphAligner->costs());
+    const pangraph::AlignmentGraph *productDag =
+        product ? &*product : nullptr;
+
+    RaceResult result = race(problem, plan.get(), productDag);
+    if (cfg.backend == BackendKind::GateLevel)
+        replayOnGates(problem, plan.get(), productDag, result);
+    return result;
 }
 
 RaceResult
-RaceEngine::raceGridBehavioral(const RaceProblem &problem,
-                               const Plan &plan) const
+RaceEngine::race(const RaceProblem &problem, const Plan *plan,
+                 const pangraph::AlignmentGraph *product) const
 {
-    const bio::Sequence &a = *problem.a;
-    const bio::Sequence &b = *problem.b;
-    const bool screening = problem.kind == ProblemKind::ThresholdScreen;
-    const bio::Score threshold =
-        screening ? problem.threshold : cfg.threshold;
-    const tech::CellLibrary &lib = *cfg.library;
+    const bio::Score threshold = thresholdFor(problem, cfg);
+    // Screens race with the threshold as the kernel horizon (the
+    // Section 6 abort counter) unless the config asks for full-race
+    // measurement.  Engine-wide thresholds keep racing to
+    // completion: their contract reports the exact score even when
+    // rejected.
+    const sim::Tick horizon =
+        screens(problem) && cfg.earlyTerminate &&
+                threshold != bio::kScoreInfinity
+            ? static_cast<sim::Tick>(threshold)
+            : sim::kTickInfinity;
 
     RaceResult result;
     result.kind = problem.kind;
     result.backend = cfg.backend;
-    result.nodes = (plan.rows + 1) * (plan.cols + 1);
-
-    // Screens race with the threshold as the kernel horizon (the
-    // Section 6 abort counter) unless the config asks for full-race
-    // measurement.  Engine-wide thresholds on non-screen kinds keep
-    // racing to completion: their contract reports the exact score
-    // even when rejected.
-    const bool bounded = screening && cfg.earlyTerminate &&
-                         threshold != bio::kScoreInfinity;
-    // align() races on this thread's registered kernel scratch, so
-    // the batch screening loop (and every serial solve) reuses one
-    // set of weight rows instead of allocating them per comparison.
-    core::RaceGridResult raced = plan.behavioral->align(
-        a, b,
-        bounded ? static_cast<sim::Tick>(threshold)
-                : sim::kTickInfinity,
-        problem.cancel, problem.counters);
-    result.completed = raced.completed;
-    result.cancelled = raced.cancelled;
-    result.racedCost = raced.score;
-    result.latencyCycles = raced.latencyCycles;
-    result.events = raced.events;
-    result.cellsFired = raced.cellsFired;
-    result.arrival = std::move(raced.arrival);
-
-    applyThresholdVerdict(threshold, result);
-    if (result.cancelled) {
-        // A cancelled race reveals nothing about the score at all.
-        result.accepted = false;
-        result.score = bio::kScoreInfinity;
-    } else if (screening && !result.accepted) {
-        // Match the Section 6 screening contract: an aborted race
-        // reveals only that the score exceeds the threshold.
-        result.completed = false;
-        result.score = bio::kScoreInfinity;
-    } else {
-        result.score = plan.conversion
-                           ? plan.conversion->recoverScore(
-                                 result.racedCost, a.size(), b.size())
-                           : result.racedCost;
+    switch (problem.kind) {
+    case ProblemKind::PairwiseAlignment:
+    case ProblemKind::GeneralizedAlignment:
+    case ProblemKind::ThresholdScreen: {
+        const bio::Sequence &a = *problem.a;
+        const bio::Sequence &b = *problem.b;
+        // align() races on this thread's registered kernel scratch,
+        // so batch loops (and every serial solve) reuse one set of
+        // weight rows instead of allocating them per comparison.
+        core::RaceGridResult raced = plan->behavioral->align(
+            a, b, horizon, problem.cancel, problem.counters);
+        result.nodes = (plan->rows + 1) * (plan->cols + 1);
+        result.completed = raced.completed;
+        result.cancelled = raced.cancelled;
+        result.racedCost = raced.score;
+        result.latencyCycles = raced.latencyCycles;
+        result.events = raced.events;
+        result.cellsFired = raced.cellsFired;
+        result.arrival = std::move(raced.arrival);
+        if (raced.completed)
+            result.score = plan->conversion
+                               ? plan->conversion->recoverScore(
+                                     raced.score, a.size(), b.size())
+                               : raced.score;
+        break;
     }
+    case ProblemKind::GraphAlign: {
+        // The fused kernel never materializes a product DAG; only
+        // GateLevel passes in the product it also synthesizes.
+        const pangraph::GraphAligner &aligner = *plan->graphAligner;
+        pangraph::GraphRaceResult raced =
+            product ? aligner.align(*product, horizon)
+                    : aligner.align(*problem.a, horizon, problem.cancel,
+                                    problem.counters);
+        result.nodes = raced.nodes;
+        result.completed = raced.completed;
+        result.cancelled = raced.cancelled;
+        result.racedCost = raced.racedCost;
+        result.latencyCycles = raced.latencyCycles;
+        result.events = raced.events;
+        result.cellsFired = raced.cellsFired;
+        result.nodeArrival = std::move(raced.arrival);
+        result.score = raced.score;
+        break;
+    }
+    case ProblemKind::Dtw:
+        // The sink is warp cell (|x|, |y|), DtwGraph::node()'s last.
+        shapeRaceOutcome(
+            core::sweepDtwLattice(problem.x, problem.y, problem.cancel,
+                                  problem.counters),
+            static_cast<graph::NodeId>(
+                problem.x.size() * problem.y.size() - 1),
+            result);
+        break;
+    case ProblemKind::AffineAlignment:
+        // The collector sink follows the three (|a|+1) x (|b|+1)
+        // planes.
+        shapeRaceOutcome(
+            core::sweepAffineLattice(*problem.a, *problem.b,
+                                     *problem.matrix, problem.gaps,
+                                     problem.cancel, problem.counters),
+            static_cast<graph::NodeId>(3 * (problem.a->size() + 1) *
+                                       (problem.b->size() + 1)),
+            result);
+        break;
+    case ProblemKind::DagPath:
+        shapeRaceOutcome(core::raceDag(*problem.dag, problem.sources,
+                                       dagRaceType(problem)),
+                         problem.sink, result);
+        break;
+    }
+    // Validated gaps connect every lattice's corners; only a DagPath
+    // sink can be unreachable.
+    rl_assert(result.completed || result.cancelled ||
+                  horizon != sim::kTickInfinity ||
+                  problem.kind == ProblemKind::DagPath,
+              problemKindName(problem.kind), " race never finished");
+    applyVerdict(problem, threshold, result);
 
     if (cfg.withEstimates) {
+        const tech::CellLibrary &lib = *cfg.library;
         HardwareEstimate est;
-        est.wallTimeNs = raceWallNs(lib, result.cyclesUsed);
-        // On GateLevel the caller overwrites area/energy with figures
-        // from the synthesized netlist; skip the analytic model then.
-        if (plan.hasInventory &&
+        est.wallTimeNs =
+            static_cast<double>(result.cyclesUsed) * lib.racePeriodNs;
+        // On GateLevel the replay prices area/energy from the raced
+        // netlist; skip the analytic model then.
+        if (plan && plan->hasInventory &&
             cfg.backend != BackendKind::GateLevel) {
             // Eq. 3 with the actual race duration: clock-pin charging
             // of every fabric DFF per cycle, plus the per-comparison
             // data term.
             const double cells =
-                static_cast<double>(plan.rows * plan.cols);
+                static_cast<double>(plan->rows * plan->cols);
             const double dffPerCell = static_cast<double>(
-                plan.cellInventory[static_cast<size_t>(
+                plan->cellInventory[static_cast<size_t>(
                     circuit::GateType::Dff)]);
             est.areaUm2 =
-                tech::generalizedGridArea(lib, plan.costs(), plan.rows,
-                                          plan.cols,
-                                          plan.cellInventory)
+                tech::generalizedGridArea(lib, plan->costs(), plan->rows,
+                                          plan->cols, plan->cellInventory)
                     .totalUm2;
             est.energyJ =
                 lib.switchEnergyJ(lib.dffClockCapF) * cells * dffPerCell *
@@ -522,456 +775,89 @@ RaceEngine::raceGridBehavioral(const RaceProblem &problem,
 }
 
 RaceResult
-RaceEngine::solveGridFamily(const RaceProblem &problem)
+RaceEngine::raceSystolic(const RaceProblem &problem, const Plan &plan) const
 {
     const bio::Sequence &a = *problem.a;
     const bio::Sequence &b = *problem.b;
-    const bio::Score threshold =
-        problem.kind == ProblemKind::ThresholdScreen ? problem.threshold
-                                                     : cfg.threshold;
-
-    rl_assert(cfg.backend != BackendKind::Systolic ||
-                  problem.kind != ProblemKind::GeneralizedAlignment,
-              "the systolic baseline cannot run generalized matrices "
-              "(mod-4 score encoding needs the Fig. 2b cost family)");
-
-    std::shared_ptr<Plan> plan = planFor(problem);
-    const tech::CellLibrary &lib = *cfg.library;
-
-    if (cfg.backend == BackendKind::Systolic) {
-        RaceResult result;
-        result.kind = problem.kind;
-        result.backend = cfg.backend;
-        systolic::SystolicResult raced = plan->array->align(a, b);
-        result.racedCost = raced.score;
-        result.latencyCycles = raced.cycles;
-        result.nodes = raced.peCount;
-        // The array cannot abort: it is busy for the full run even
-        // when the verdict is negative (the Section 6 contrast).
-        result.cyclesUsed = raced.cycles;
-        result.accepted = raced.score <= threshold;
-        result.score = plan->conversion
-                           ? plan->conversion->recoverScore(
-                                 result.racedCost, a.size(), b.size())
-                           : result.racedCost;
-        if (cfg.withEstimates) {
-            HardwareEstimate est;
-            est.wallTimeNs = static_cast<double>(raced.cycles) *
-                             lib.systolicPeriodNs;
-            est.areaUm2 = tech::systolicArea(lib, a.alphabet(), a.size(),
-                                             b.size())
-                              .totalUm2;
-            est.energyJ =
-                tech::systolicEnergyFromResult(lib, raced, a.alphabet())
-                    .totalJ();
-            result.estimate = est;
-        }
-        return result;
-    }
-
-    // Behavioral race (also the reference the gate level is checked
-    // against).
-    RaceResult result = raceGridBehavioral(problem, *plan);
-
-    if (cfg.backend == BackendKind::GateLevel) {
-        // Run the same race on the synthesized fabric.  Any finite
-        // threshold becomes the cycle budget -- the hardware
-        // realization of Section 6's abort -- so the priced switching
-        // activity covers exactly the cycles the fabric is busy.
-        // Floor at 1: the fabric treats budget 0 as "unlimited",
-        // while threshold 0 must reject after a single cycle (all
-        // weights are >= 1).
-        const bool bounded = threshold < bio::kScoreInfinity;
-        uint64_t budget =
-            bounded ? std::max<uint64_t>(
-                          static_cast<uint64_t>(threshold), 1)
-                    : 0;
-        plan->fabric->sim().clearActivity();
-        core::CircuitRunResult run = plan->fabric->align(a, b, budget);
-        if (run.completed && result.completed) {
-            rl_assert(run.score == result.racedCost,
-                      "gate-level race disagrees with behavioral "
-                      "model: ",
-                      run.score, " vs ", result.racedCost);
-        } else if (run.completed) {
-            // The behavioral race aborted at its horizon, so the
-            // fabric's sink can only have fired past the threshold
-            // (possible only at threshold 0, whose budget floor is 1).
-            rl_assert(run.score > threshold,
-                      "gate-level race completed under a threshold "
-                      "the behavioral model aborted at");
-        } else {
-            rl_assert(bounded && !result.accepted,
-                      "gate-level race did not complete within budget");
-        }
-        if (cfg.withEstimates && result.estimate)
-            priceFromNetlist(lib, plan->fabric->netlist(),
-                             tech::energyFromActivityJ(
-                                 lib, plan->fabric->sim().activity()),
-                             *result.estimate);
+    systolic::SystolicResult raced = plan.array->align(a, b);
+    RaceResult result;
+    result.kind = problem.kind;
+    result.backend = cfg.backend;
+    result.racedCost = raced.score;
+    result.latencyCycles = raced.cycles;
+    result.nodes = raced.peCount;
+    // The array cannot abort: it is busy for the full run even when
+    // the verdict is negative (the Section 6 contrast).
+    result.cyclesUsed = raced.cycles;
+    result.accepted = raced.score <= thresholdFor(problem, cfg);
+    result.score = plan.conversion ? plan.conversion->recoverScore(
+                                         raced.score, a.size(), b.size())
+                                   : raced.score;
+    if (cfg.withEstimates) {
+        const tech::CellLibrary &lib = *cfg.library;
+        HardwareEstimate est;
+        est.wallTimeNs =
+            static_cast<double>(raced.cycles) * lib.systolicPeriodNs;
+        est.areaUm2 =
+            tech::systolicArea(lib, a.alphabet(), a.size(), b.size())
+                .totalUm2;
+        est.energyJ =
+            tech::systolicEnergyFromResult(lib, raced, a.alphabet())
+                .totalJ();
+        result.estimate = est;
     }
     return result;
 }
 
-namespace {
-
-/**
- * Shape a DAG or lattice race outcome into `result`: the sink's
- * arrival, the race's counts and its wall-time estimate.  A
- * cancelled outcome defines only cancelled, completed (false) and
- * racedCost (kScoreInfinity).
- */
 void
-shapeRaceOutcome(core::RaceOutcome outcome, graph::NodeId sink,
-                 const EngineConfig &cfg, RaceResult &result)
+RaceEngine::replayOnGates(const RaceProblem &problem, Plan *plan,
+                          const pangraph::AlignmentGraph *product,
+                          RaceResult &result) const
 {
-    if (outcome.cancelled) {
-        result.cancelled = true;
-        result.completed = false;
-        result.racedCost = bio::kScoreInfinity;
+    const bio::Score threshold = thresholdFor(problem, cfg);
+    // A cancelled race has nothing to replay and stays a typed abort;
+    // an unreachable DagPath sink has no budget to run to.
+    if (result.cancelled ||
+        (!result.completed && threshold == bio::kScoreInfinity))
+        return;
+    switch (problem.kind) {
+    case ProblemKind::PairwiseAlignment:
+    case ProblemKind::GeneralizedAlignment:
+    case ProblemKind::ThresholdScreen: {
+        // The same race on the plan's synthesized fabric.
+        plan->fabric->sim().clearActivity();
+        core::CircuitRunResult run = plan->fabric->align(
+            *problem.a, *problem.b, gateBudget(threshold, result));
+        checkGateRun(run.completed, run.score, threshold, result);
+        priceFromNetlist(cfg, plan->fabric->netlist(),
+                         tech::energyFromActivityJ(
+                             *cfg.library, plan->fabric->sim().activity()),
+                         result);
         return;
     }
-    core::TemporalValue arrival = outcome.at(sink);
-    result.events = outcome.events;
-    result.nodes = outcome.firing.size();
-    result.completed = arrival.fired();
-    if (arrival.fired()) {
-        result.racedCost = static_cast<bio::Score>(arrival.time());
-        result.latencyCycles = arrival.time();
-    } else {
-        result.racedCost = bio::kScoreInfinity;
-        result.latencyCycles = outcome.horizon;
+    case ProblemKind::Dtw: {
+        apps::DtwGraph lattice = apps::makeDtwGraph(problem.x, problem.y);
+        replayDag(lattice.dag, {lattice.source}, lattice.sink,
+                  core::RaceType::Or, threshold, cfg, result);
+        return;
     }
-    result.nodeArrival = std::move(outcome.firing);
-    result.cellsFired = static_cast<size_t>(std::count_if(
-        result.nodeArrival.begin(), result.nodeArrival.end(),
-        [](const core::TemporalValue &v) { return v.fired(); }));
-
-    if (cfg.withEstimates) {
-        HardwareEstimate est;
-        est.wallTimeNs = raceWallNs(*cfg.library, result.latencyCycles);
-        result.estimate = est;
+    case ProblemKind::AffineAlignment: {
+        bio::AffineEditGraph lattice = bio::makeAffineEditGraph(
+            *problem.a, *problem.b, *problem.matrix, problem.gaps);
+        replayDag(lattice.dag, {lattice.source}, lattice.sink,
+                  core::RaceType::Or, threshold, cfg, result);
+        return;
+    }
+    case ProblemKind::DagPath:
+        replayDag(*problem.dag, problem.sources, problem.sink,
+                  dagRaceType(problem), threshold, cfg, result);
+        return;
+    case ProblemKind::GraphAlign:
+        replayDag(product->dag, {product->source}, product->sink,
+                  core::RaceType::Or, threshold, cfg, result);
+        return;
     }
 }
-
-/**
- * The GateLevel half of a completed DAG or lattice race: compile
- * `dag` to a netlist, replay the race on real gates, cross-check the
- * sink against result.racedCost, and price the estimate from the
- * netlist.
- */
-void
-replayOnGates(const graph::Dag &dag,
-              const std::vector<graph::NodeId> &sources,
-              graph::NodeId sink, core::RaceType type,
-              const EngineConfig &cfg, RaceResult &result)
-{
-    core::RaceCircuit compiled =
-        core::compileRaceCircuit(dag, sources, type);
-    circuit::CompiledSim sim(compiled.netlist);
-    for (circuit::NetId input : compiled.sourceInputs)
-        sim.setInput(input, true);
-    auto gateArrival =
-        sim.runUntil(compiled.nodeNets[sink], true,
-                     static_cast<uint64_t>(result.racedCost) + 4);
-    rl_assert(gateArrival.has_value() &&
-                  static_cast<bio::Score>(*gateArrival) ==
-                      result.racedCost,
-              "gate-level race disagrees with the behavioral model at "
-              "the sink");
-    const tech::CellLibrary &lib = *cfg.library;
-    if (cfg.withEstimates && result.estimate)
-        priceFromNetlist(lib, compiled.netlist,
-                         tech::energyFromActivityJ(lib, sim.activity()),
-                         *result.estimate);
-}
-
-} // namespace
-
-RaceResult
-RaceEngine::solveDtw(const RaceProblem &problem)
-{
-    rl_assert(cfg.backend != BackendKind::Systolic,
-              "the systolic baseline only aligns strings; race DTW on "
-              "the behavioral or gate-level backend");
-
-    RaceResult result;
-    result.kind = ProblemKind::Dtw;
-    result.backend = cfg.backend;
-    // The sink is warp cell (|x|, |y|), DtwGraph::node()'s last cell.
-    const auto sink = static_cast<graph::NodeId>(
-        problem.x.size() * problem.y.size() - 1);
-    shapeRaceOutcome(core::sweepDtwLattice(problem.x, problem.y,
-                                           problem.cancel,
-                                           problem.counters),
-                     sink, cfg, result);
-    if (!result.cancelled) {
-        rl_assert(result.completed, "DTW race never finished");
-        if (cfg.backend == BackendKind::GateLevel) {
-            apps::DtwGraph lattice =
-                apps::makeDtwGraph(problem.x, problem.y);
-            replayOnGates(lattice.dag, {lattice.source}, lattice.sink,
-                          core::RaceType::Or, cfg, result);
-        }
-    }
-    result.score = result.racedCost;
-    applyThresholdVerdict(cfg.threshold, result);
-    return result;
-}
-
-RaceResult
-RaceEngine::solveDagPath(const RaceProblem &problem)
-{
-    rl_assert(cfg.backend != BackendKind::Systolic,
-              "the systolic baseline only aligns strings; race DAG "
-              "paths on the behavioral or gate-level backend");
-
-    const bool shortest =
-        problem.objective == graph::Objective::Shortest;
-    const core::RaceType type =
-        shortest ? core::RaceType::Or : core::RaceType::And;
-
-    RaceResult result;
-    result.kind = ProblemKind::DagPath;
-    result.backend = cfg.backend;
-    shapeRaceOutcome(core::raceDag(*problem.dag, problem.sources, type),
-                     problem.sink, cfg, result);
-    if (cfg.backend == BackendKind::GateLevel && result.completed)
-        replayOnGates(*problem.dag, problem.sources, problem.sink, type,
-                      cfg, result);
-    result.score = result.completed ? result.racedCost
-                                    : bio::kScoreInfinity;
-    if (shortest) {
-        // Early termination is an OR-race property only: a MAX race's
-        // answer is not known until the end.
-        applyThresholdVerdict(cfg.threshold, result);
-    } else {
-        result.cyclesUsed = result.latencyCycles;
-    }
-    return result;
-}
-
-RaceResult
-RaceEngine::solveAffine(const RaceProblem &problem)
-{
-    rl_assert(cfg.backend != BackendKind::Systolic,
-              "the systolic baseline has no affine-gap mode; race "
-              "affine alignments on the behavioral or gate-level "
-              "backend");
-
-    const bio::Sequence &a = *problem.a;
-    const bio::Sequence &b = *problem.b;
-    RaceResult result;
-    result.kind = ProblemKind::AffineAlignment;
-    result.backend = cfg.backend;
-    // The collector sink follows the three (|a|+1) x (|b|+1) planes.
-    const auto sink =
-        static_cast<graph::NodeId>(3 * (a.size() + 1) * (b.size() + 1));
-    shapeRaceOutcome(core::sweepAffineLattice(a, b, *problem.matrix,
-                                              problem.gaps,
-                                              problem.cancel,
-                                              problem.counters),
-                     sink, cfg, result);
-    if (!result.cancelled) {
-        rl_assert(result.completed,
-                  "affine race never finished; finite gaps should "
-                  "always connect the corners");
-        if (cfg.backend == BackendKind::GateLevel) {
-            bio::AffineEditGraph lattice = bio::makeAffineEditGraph(
-                a, b, *problem.matrix, problem.gaps);
-            replayOnGates(lattice.dag, {lattice.source}, lattice.sink,
-                          core::RaceType::Or, cfg, result);
-        }
-    }
-    result.score = result.racedCost;
-    applyThresholdVerdict(cfg.threshold, result);
-    return result;
-}
-
-RaceResult
-RaceEngine::raceGraphBehavioral(
-    const RaceProblem &problem, const Plan &plan,
-    const pangraph::AlignmentGraph *product) const
-{
-    const pangraph::GraphAligner &aligner = *plan.graphAligner;
-    // A problem-level threshold marks a read-mapping screen; the
-    // engine-wide threshold only gates acceptance after a full race.
-    const bool screening = problem.threshold != bio::kScoreInfinity;
-    const bio::Score threshold =
-        screening ? problem.threshold : cfg.threshold;
-    const bool bounded = screening && cfg.earlyTerminate;
-    const sim::Tick horizon = bounded
-                                  ? static_cast<sim::Tick>(threshold)
-                                  : sim::kTickInfinity;
-
-    // The Behavioral path races the fused kernel -- align(read) keeps
-    // one scratch per thread, so the read-mapping batch loop (and
-    // every serial solve) allocates no kernel storage per read and
-    // never materializes a product DAG.  Only the GateLevel caller
-    // passes a product in (it is also the synthesis input, so it
-    // must not be built twice).
-    pangraph::GraphRaceResult raced =
-        product ? aligner.align(*product, horizon)
-                : aligner.align(*problem.a, horizon, problem.cancel,
-                                problem.counters);
-
-    RaceResult result;
-    result.kind = ProblemKind::GraphAlign;
-    result.backend = cfg.backend;
-    result.nodes = raced.nodes;
-    result.completed = raced.completed;
-    result.cancelled = raced.cancelled;
-    result.racedCost = raced.racedCost;
-    result.latencyCycles = raced.latencyCycles;
-    result.events = raced.events;
-    result.cellsFired = raced.cellsFired;
-    result.nodeArrival = std::move(raced.arrival);
-
-    applyThresholdVerdict(threshold, result);
-    if (result.cancelled) {
-        // A cancelled race reveals nothing -- not even the screening
-        // verdict -- and carries no mapping detail.
-        result.accepted = false;
-        result.score = bio::kScoreInfinity;
-        result.nodeArrival.clear();
-        result.nodeArrival.shrink_to_fit();
-    } else if (screening && !result.accepted) {
-        // The Section 6 screening contract: an aborted race reveals
-        // only that the distance exceeds the threshold.  Rejected
-        // reads also carry no mapping detail -- graphMapping() needs
-        // a completed race, and retaining the product arrival vector
-        // would make screening batches scale as reads x product
-        // size.
-        result.completed = false;
-        result.score = bio::kScoreInfinity;
-        result.nodeArrival.clear();
-        result.nodeArrival.shrink_to_fit();
-    } else {
-        result.score = raced.score;
-    }
-
-    if (cfg.withEstimates) {
-        HardwareEstimate est;
-        est.wallTimeNs = raceWallNs(*cfg.library, result.cyclesUsed);
-        result.estimate = est;
-    }
-    return result;
-}
-
-RaceResult
-RaceEngine::solveGraphAlign(const RaceProblem &problem)
-{
-    rl_assert(cfg.backend != BackendKind::Systolic,
-              "the systolic baseline only aligns linear strings; race "
-              "graph alignments on the behavioral or gate-level "
-              "backend");
-
-    std::shared_ptr<Plan> plan = planFor(problem);
-
-    if (cfg.backend != BackendKind::GateLevel)
-        return raceGraphBehavioral(problem, *plan);
-
-    // Build the product DAG once -- materialization dominates the
-    // per-read cost -- and share it between the behavioral race and
-    // fabric synthesis: the product raced IS the product synthesized
-    // (Fig. 3b, one OR gate per state, DFF chains per edit weight),
-    // replayed on the compiled levelized simulator and cross-checked
-    // at the sink.
-    const pangraph::GraphAligner &aligner = *plan->graphAligner;
-    pangraph::AlignmentGraph product = pangraph::buildAlignmentGraph(
-        aligner.compiled(), *problem.a, aligner.costs());
-    RaceResult result = raceGraphBehavioral(problem, *plan, &product);
-    core::RaceCircuit compiled = core::compileRaceCircuit(
-        product.dag, {product.source}, core::RaceType::Or);
-    circuit::CompiledSim sim(compiled.netlist);
-    for (circuit::NetId input : compiled.sourceInputs)
-        sim.setInput(input, true);
-    const bool screening = problem.threshold != bio::kScoreInfinity;
-    const uint64_t budget =
-        result.completed
-            ? static_cast<uint64_t>(result.racedCost) + 4
-            : std::max<uint64_t>(
-                  static_cast<uint64_t>(problem.threshold), 1);
-    auto gateArrival =
-        sim.runUntil(compiled.nodeNets[product.sink], true, budget);
-    if (result.completed) {
-        rl_assert(gateArrival.has_value() &&
-                      static_cast<bio::Score>(*gateArrival) ==
-                          result.racedCost,
-                  "gate-level graph race disagrees with the "
-                  "wavefront kernel at the sink");
-    } else {
-        // The behavioral race aborted at its horizon; the budget
-        // floor of 1 (threshold 0) can still let the sink fire --
-        // but only past the threshold.
-        rl_assert(screening &&
-                      (!gateArrival.has_value() ||
-                       static_cast<bio::Score>(*gateArrival) >
-                           problem.threshold),
-                  "gate-level graph race completed under a "
-                  "threshold the behavioral race aborted at");
-    }
-    if (cfg.withEstimates && result.estimate)
-        priceFromNetlist(*cfg.library, compiled.netlist,
-                         tech::energyFromActivityJ(*cfg.library,
-                                                   sim.activity()),
-                         *result.estimate);
-    return result;
-}
-
-namespace {
-
-/**
- * A batch is "screening-shaped" when every problem races one shared
- * fabric against varying runtime inputs: one cost matrix and query
- * over a candidate database, or one pangenome plan over a read set.
- * Exactly the workloads the core::batch fabric pool schedules.
- */
-bool
-screeningShaped(const std::vector<RaceProblem> &problems)
-{
-    if (problems.empty())
-        return false;
-    const RaceProblem &first = problems.front();
-    if (first.kind == ProblemKind::GraphAlign) {
-        for (const RaceProblem &p : problems) {
-            if (p.kind != ProblemKind::GraphAlign)
-                return false;
-            if (p.vgraph != first.vgraph ||
-                !sameMatrix(*p.matrix, *first.matrix))
-                return false;
-        }
-        return true;
-    }
-    if (!first.matrix || !first.matrix->isCost() || !first.a)
-        return false;
-    for (const RaceProblem &p : problems) {
-        if (p.kind != ProblemKind::PairwiseAlignment &&
-            p.kind != ProblemKind::ThresholdScreen)
-            return false;
-        if (!(*p.a == *first.a) || !sameMatrix(*p.matrix, *first.matrix))
-            return false;
-    }
-    return true;
-}
-
-/** Kinds the parallel batch path can race (plan + const align). */
-bool
-gridFamilyKind(ProblemKind kind)
-{
-    return kind == ProblemKind::PairwiseAlignment ||
-           kind == ProblemKind::GeneralizedAlignment ||
-           kind == ProblemKind::ThresholdScreen;
-}
-
-/** Kinds whose plan supports the acquire-then-race batch pattern. */
-bool
-planFamilyKind(ProblemKind kind)
-{
-    return gridFamilyKind(kind) || kind == ProblemKind::GraphAlign;
-}
-
-} // namespace
 
 void
 RaceEngine::raceBatchGateLevel(
@@ -980,7 +866,8 @@ RaceEngine::raceBatchGateLevel(
     std::vector<RaceResult> &results)
 {
     // Group problem indices by plan (one synthesized fabric per grid
-    // shape) and fill each fabric's 64 bit-parallel lanes.
+    // shape) and fill each fabric's 64 bit-parallel lanes.  Cancelled
+    // lanes have nothing to replay and stay typed aborts.
     struct Chunk {
         const Plan *plan;
         std::vector<size_t> indices;
@@ -988,6 +875,8 @@ RaceEngine::raceBatchGateLevel(
     std::vector<Chunk> chunks;
     std::unordered_map<const Plan *, size_t> open;
     for (size_t i = 0; i < problems.size(); ++i) {
+        if (results[i].cancelled)
+            continue;
         const Plan *plan = plans[i].get();
         auto found = open.find(plan);
         if (found != open.end() &&
@@ -999,31 +888,22 @@ RaceEngine::raceBatchGateLevel(
         }
     }
 
-    const tech::CellLibrary &lib = *cfg.library;
     auto raceChunk = [&](size_t c) {
         const Chunk &chunk = chunks[c];
         const Plan &plan = *chunk.plan;
 
-        // The shared lock-step budget: the largest per-lane threshold
-        // (each lane's own Section 6 verdict is checked below), or
-        // the fabric's full-race default if any lane is unbounded.
+        // The shared lock-step budget: the largest per-lane budget
+        // (each lane's own Section 6 verdict is checked below).
         std::vector<core::LanePair> lanes;
         lanes.reserve(chunk.indices.size());
         uint64_t budget = 0;
-        bool unbounded = false;
+        bool wantCounters = false;
         for (size_t idx : chunk.indices) {
             const RaceProblem &p = problems[idx];
             lanes.push_back({&*p.a, &*p.b});
-            const bio::Score threshold =
-                p.kind == ProblemKind::ThresholdScreen ? p.threshold
-                                                       : cfg.threshold;
-            if (threshold == bio::kScoreInfinity)
-                unbounded = true;
-            else
-                budget = std::max<uint64_t>(
-                    budget,
-                    std::max<uint64_t>(
-                        static_cast<uint64_t>(threshold), 1));
+            budget = std::max(budget,
+                              gateBudget(thresholdFor(p, cfg), results[idx]));
+            wantCounters = wantCounters || p.counters != nullptr;
         }
         // alignLanes is const and simulates on a private CompiledSim
         // over the plan's shared compile, so chunks race on the pool
@@ -1032,54 +912,24 @@ RaceEngine::raceBatchGateLevel(
         // whole chunk shares (like the chunk's Activity), so each
         // requesting problem gets the chunk-level merge.
         core::KernelCounters chunkCounters;
-        bool wantCounters = false;
-        for (size_t idx : chunk.indices)
-            wantCounters = wantCounters ||
-                           problems[idx].counters != nullptr;
         core::LaneBatchResult raced = plan.fabric->alignLanes(
-            lanes, unbounded ? 0 : budget,
-            wantCounters ? &chunkCounters : nullptr);
-        if (wantCounters)
-            for (size_t idx : chunk.indices)
-                if (problems[idx].counters)
-                    problems[idx].counters->merge(chunkCounters);
+            lanes, budget, wantCounters ? &chunkCounters : nullptr);
 
-        const double chunkEnergyJ =
-            tech::energyFromActivityJ(lib, raced.activity);
+        // The lock-step word's Eq. 3 energy, averaged per lane (lanes
+        // share one fabric compile and clock).
+        const double laneEnergyJ =
+            tech::energyFromActivityJ(*cfg.library, raced.activity) /
+            static_cast<double>(lanes.size());
         for (size_t k = 0; k < chunk.indices.size(); ++k) {
-            const size_t idx = chunk.indices[k];
-            const RaceProblem &p = problems[idx];
-            const bio::Score threshold =
-                p.kind == ProblemKind::ThresholdScreen ? p.threshold
-                                                       : cfg.threshold;
-            RaceResult &soft = results[idx];
+            const RaceProblem &p = problems[chunk.indices[k]];
+            RaceResult &soft = results[chunk.indices[k]];
             const core::CircuitRunResult &run = raced.lanes[k];
-            if (run.completed && soft.completed) {
-                rl_assert(run.score == soft.racedCost,
-                          "gate-level lane race disagrees with "
-                          "behavioral model: ",
-                          run.score, " vs ", soft.racedCost);
-            } else if (run.completed) {
-                // The behavioral race aborted at its own horizon; the
-                // lock-step word kept clocking to the chunk budget,
-                // so the lane's sink may fire -- but only past its
-                // own threshold.
-                rl_assert(run.score > threshold,
-                          "gate-level lane completed under a "
-                          "threshold the behavioral model aborted at");
-            } else {
-                rl_assert(threshold != bio::kScoreInfinity &&
-                              !soft.accepted,
-                          "gate-level lane race did not complete "
-                          "within budget");
-            }
-            // The lock-step word's Eq. 3 energy, averaged per lane
-            // (lanes share one fabric compile and clock).
-            if (soft.estimate)
-                priceFromNetlist(
-                    lib, plan.fabric->netlist(),
-                    chunkEnergyJ / static_cast<double>(lanes.size()),
-                    *soft.estimate);
+            if (p.counters)
+                p.counters->merge(chunkCounters);
+            checkGateRun(run.completed, run.score, thresholdFor(p, cfg),
+                         soft);
+            priceFromNetlist(cfg, plan.fabric->netlist(), laneEnergyJ,
+                             soft);
         }
     };
 
@@ -1142,14 +992,7 @@ RaceEngine::adoptGraphPlan(const RaceProblem &problem,
     auto plan = std::make_shared<Plan>();
     plan->input = *problem.matrix;
     plan->graphAligner = std::move(aligner);
-    lru.emplace_front(std::move(key), plan);
-    index[lru.front().first] = lru.begin();
-    {
-        std::lock_guard<std::mutex> lock(statsMutex);
-        cacheBytes += plan->residentBytes();
-    }
-    while (lru.size() > cfg.planCacheCapacity)
-        evictLruPlan();
+    insertPlan(std::move(key), std::move(plan));
 }
 
 BatchOutcome
@@ -1202,10 +1045,7 @@ RaceEngine::solveBatch(const std::vector<RaceProblem> &problems)
         }
         outcome.results.resize(problems.size());
         auto raceOne = [&](size_t i) {
-            outcome.results[i] =
-                problems[i].kind == ProblemKind::GraphAlign
-                    ? raceGraphBehavioral(problems[i], *plans[i])
-                    : raceGridBehavioral(problems[i], *plans[i]);
+            outcome.results[i] = race(problems[i], plans[i].get());
         };
         if (parallel) {
             {

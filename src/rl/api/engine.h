@@ -47,6 +47,7 @@
 
 namespace racelogic::pangraph {
 class GraphAligner;
+struct AlignmentGraph;
 } // namespace racelogic::pangraph
 
 namespace racelogic::api {
@@ -279,33 +280,36 @@ class RaceEngine
                                   bool recordHit = true);
     std::shared_ptr<Plan> buildPlan(const RaceProblem &problem);
 
-    RaceResult solveGridFamily(const RaceProblem &problem);
-    RaceResult solveDtw(const RaceProblem &problem);
-    RaceResult solveDagPath(const RaceProblem &problem);
-    RaceResult solveAffine(const RaceProblem &problem);
-    RaceResult solveGraphAlign(const RaceProblem &problem);
+    /** Cache `plan` under `key`, then trim the LRU to capacity. */
+    void insertPlan(std::string key, std::shared_ptr<Plan> plan);
 
     /**
-     * The Behavioral race of one grid-family problem on an acquired
-     * plan.  const, racing on a per-thread kernel scratch: this is
-     * the body the thread pool runs concurrently, and also the first
-     * stage of the serial GateLevel solve.
+     * The behavioral race of one problem, shaped into its verdict and
+     * estimate: the one race every backend but Systolic runs first.
+     * `plan` is the acquired plan (null for kinds without one).
+     * const, racing on per-thread kernel scratch: this is also the
+     * body solveBatch runs concurrently on the thread pool.
+     * `product` races GraphAlign on an already-built product DAG
+     * (GateLevel builds it once for the race and for synthesis);
+     * null races the fused kernel.
      */
-    RaceResult raceGridBehavioral(const RaceProblem &problem,
-                                  const Plan &plan) const;
+    RaceResult race(const RaceProblem &problem, const Plan *plan,
+                    const pangraph::AlignmentGraph *product = nullptr) const;
+
+    /** The Systolic backend's race of a pairwise grid or screen. */
+    RaceResult raceSystolic(const RaceProblem &problem,
+                            const Plan &plan) const;
 
     /**
-     * The Behavioral race of one GraphAlign problem on an acquired
-     * plan (the cached pangraph::GraphAligner); const and on a
-     * per-thread scratch for the same parallel-batch reason.
-     * `product` shares an already-built product DAG (the GateLevel
-     * path builds it once for both the race and synthesis); null
-     * races the fused kernel -- no product DAG is materialized on
-     * the Behavioral path.
+     * The GateLevel half of a solve: replay the raced `result` on
+     * gates -- the plan's synthesized fabric for the grid family, a
+     * compiled DAG for every other kind -- cross-check the sink and
+     * price the estimate from the netlist.  Cancelled results are
+     * left as typed aborts.
      */
-    RaceResult raceGraphBehavioral(
-        const RaceProblem &problem, const Plan &plan,
-        const pangraph::AlignmentGraph *product = nullptr) const;
+    void replayOnGates(const RaceProblem &problem, Plan *plan,
+                       const pangraph::AlignmentGraph *product,
+                       RaceResult &result) const;
 
     /**
      * Replay an already-raced grid-family batch on the synthesized

@@ -95,8 +95,11 @@ struct RaceProblem {
      * and Affine lattices) once per row.  Non-owning: the caller
      * keeps the token alive across the solve.  A cancelled race
      * returns a typed abort -- completed = false, cancelled = true,
-     * score kScoreInfinity -- instead of a wasted full solve.
-     * DagPath races and the GateLevel cross-check path ignore it.
+     * score kScoreInfinity -- instead of a wasted full solve; on
+     * GateLevel (solve and solveBatch alike) it is returned without
+     * a gate replay or netlist pricing.  DagPath races, and
+     * GraphAlign's GateLevel race over the materialized product,
+     * ignore the token.
      * Not part of shapeKey(): cancellation is a run-time property,
      * not a fabric shape.
      */

@@ -20,7 +20,7 @@
 #include "rl/api/problem.h"
 #include "rl/core/race_grid.h"
 #include "rl/core/temporal.h"
-#include "rl/sim/event_queue.h"
+#include "rl/sim/tick.h"
 #include "rl/util/grid.h"
 
 namespace racelogic::api {
@@ -81,8 +81,10 @@ struct RaceResult {
     bool cancelled = false;
 
     /**
-     * Threshold verdict: true unless an early-termination threshold
-     * was in force and the race exceeded it.
+     * Threshold verdict: true iff the sink fired within the threshold
+     * in force (a screen's own, else EngineConfig::threshold; a
+     * longest-path race has none).  A race whose sink never fired --
+     * aborted, cancelled or unreachable -- is not accepted.
      */
     bool accepted = true;
 

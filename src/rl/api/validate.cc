@@ -4,7 +4,7 @@
 #include <limits>
 
 #include "rl/bio/score_convert.h"
-#include "rl/core/wavefront.h"
+#include "rl/core/race_network.h"
 #include "rl/pangraph/alignment_graph.h"
 
 namespace racelogic::api {
@@ -108,20 +108,20 @@ checkAffineCost(const RaceProblem &problem)
 }
 
 /** Race-readiness of the matrix actually raced (converted when the
- *  input is a similarity matrix), under the wavefront calendar cap. */
+ *  input is a similarity matrix), under core::kMaxRaceWeight. */
 Status
 checkRaceMatrix(const bio::ScoreMatrix &matrix, bio::Score lambda)
 {
     if (matrix.isCost())
-        return matrix.validateRaceReady(core::kMaxWavefrontWeight,
+        return matrix.validateRaceReady(core::kMaxRaceWeight,
                                         /*allowForbiddenPairs=*/true);
     // Section 5 conversion is total for any similarity matrix with
     // lambda >= 1 (the bias lifts every weight to >= 1); only the
-    // calendar cap of the *converted* costs can still fail.
+    // weight cap on the *converted* costs can still fail.
     bio::ShortestPathForm converted =
         bio::toShortestPathForm(matrix, lambda);
     return converted.costs.validateRaceReady(
-        core::kMaxWavefrontWeight, /*allowForbiddenPairs=*/true);
+        core::kMaxRaceWeight, /*allowForbiddenPairs=*/true);
 }
 
 } // namespace
@@ -356,8 +356,8 @@ validateProblem(const RaceProblem &problem, const ProblemLimits &limits)
     case ProblemKind::GeneralizedAlignment:
     case ProblemKind::ThresholdScreen:
         // The plan's RaceGridAligner races the (possibly converted)
-        // matrix on the bucketed wavefront kernel; enforce its weight
-        // discipline here instead of asserting inside.
+        // matrix; enforce its weight discipline here instead of
+        // asserting inside.
         return checkRaceMatrix(*problem.matrix, problem.lambda);
     case ProblemKind::AffineAlignment: {
         // The 3-layer lattice sweep takes any weight size, but pair

@@ -18,7 +18,7 @@
  *  - validateProblem(): the full deep check -- everything the fatal
  *                    solve path asserts, returned as a typed Status
  *                    instead.  Matrix race-readiness under the
- *                    wavefront calendar cap, Section 5 conversion
+ *                    core::kMaxRaceWeight cap, Section 5 conversion
  *                    preconditions, graph validity and rank balance,
  *                    DAG id ranges and weight signs.  A problem this
  *                    accepts cannot trip an input-facing rl_fatal /

@@ -24,7 +24,7 @@
 #include "rl/bio/score_matrix.h"
 #include "rl/bio/sequence.h"
 #include "rl/core/dense_sweep.h"
-#include "rl/sim/event_queue.h"
+#include "rl/sim/tick.h"
 #include "rl/util/grid.h"
 
 namespace racelogic::core {

@@ -3,31 +3,111 @@
 #include <algorithm>
 
 #include "rl/circuit/builders.h"
-#include "rl/core/wavefront.h"
 #include "rl/graph/topo.h"
+#include "rl/sim/event_queue.h"
 #include "rl/util/logging.h"
 
 namespace racelogic::core {
 
 namespace {
 
+/** fatal() on a delay Race Logic cannot realize. */
+void
+checkDelay(const graph::Edge &e)
+{
+    if (e.weight < 0)
+        rl_fatal("edge ", e.from, "->", e.to, " has negative weight ",
+                 e.weight, "; Race Logic cannot realize negative "
+                 "delays (convert the matrix first, Section 5)");
+}
+
 void
 checkRaceable(const graph::Dag &dag)
 {
     dag.validateAcyclic();
     for (const graph::Edge &e : dag.edges())
-        if (e.weight < 0)
-            rl_fatal("edge ", e.from, "->", e.to, " has negative weight ",
-                     e.weight, "; Race Logic cannot realize negative "
-                     "delays (convert the matrix first, Section 5)");
+        checkDelay(e);
 }
 
-/** The heap-scheduled race body; callers have validated the graph. */
+} // namespace
+
 RaceOutcome
-raceEventDrivenImpl(const graph::Dag &dag,
-                    const std::vector<graph::NodeId> &sources,
-                    RaceType type, sim::Tick horizon)
+raceDag(const graph::Dag &dag, const std::vector<graph::NodeId> &sources,
+        RaceType type, sim::Tick horizon)
 {
+    rl_assert(!sources.empty(), "race needs at least one source");
+    const size_t n = dag.nodeCount();
+    const std::vector<graph::Edge> &edges = dag.edges();
+
+    // firing[v] accumulates v's arrival while its in-edges are swept:
+    // an OR gate keeps the earliest, an AND gate the latest, and an
+    // in-edge that never delivers leaves an AND gate low.  Kahn's
+    // countdown pops v once every tail is swept, so its value is
+    // final when its own out-edges are pushed.
+    RaceOutcome outcome;
+    outcome.firing.assign(n, TemporalValue::never());
+    std::vector<uint32_t> unswept(n);
+    std::vector<graph::NodeId> ready;
+    for (graph::NodeId v = 0; v < n; ++v) {
+        unswept[v] = static_cast<uint32_t>(dag.inDegree(v));
+        if (unswept[v] == 0)
+            ready.push_back(v);
+        else if (type == RaceType::And)
+            outcome.firing[v] = TemporalValue::at(0);
+    }
+    // Sources fire at tick 0 whatever else reaches them: the injected
+    // edge dominates (hardware ties the input high).
+    std::vector<bool> injected(n, false);
+    for (graph::NodeId s : sources) {
+        rl_assert(s < n, "bad source node ", s);
+        injected[s] = true;
+        outcome.firing[s] = TemporalValue::at(0);
+    }
+
+    size_t swept = 0;
+    while (!ready.empty()) {
+        const graph::NodeId from = ready.back();
+        ready.pop_back();
+        ++swept;
+        const TemporalValue fired = outcome.firing[from];
+        if (fired.fired())
+            outcome.horizon = std::max(outcome.horizon, fired.time());
+        for (uint32_t idx : dag.outEdges(from)) {
+            const graph::Edge &e = edges[idx];
+            checkDelay(e);
+            if (--unswept[e.to] == 0)
+                ready.push_back(e.to);
+            // One event per arrival the race simulates; Section 6:
+            // arrivals past the horizon never happen.
+            const sim::Tick at =
+                fired.rawTime() + static_cast<sim::Tick>(e.weight);
+            const bool arrives = fired.fired() && at <= horizon;
+            outcome.events += arrives;
+            if (injected[e.to])
+                continue;
+            TemporalValue &head = outcome.firing[e.to];
+            if (type == RaceType::Or) {
+                if (arrives)
+                    head = firstArrival(head, TemporalValue::at(at));
+            } else if (!arrives) {
+                head = TemporalValue::never();
+            } else if (head.fired()) {
+                head = TemporalValue::at(std::max(head.time(), at));
+            }
+        }
+    }
+    if (swept != n)
+        dag.validateAcyclic(); // fatal: a cycle kept nodes unswept
+    return outcome;
+}
+
+RaceOutcome
+raceDagEventDriven(const graph::Dag &dag,
+                   const std::vector<graph::NodeId> &sources,
+                   RaceType type, sim::Tick horizon)
+{
+    checkRaceable(dag);
+    rl_assert(!sources.empty(), "race needs at least one source");
     const size_t n = dag.nodeCount();
     RaceOutcome outcome;
     outcome.firing.assign(n, TemporalValue::never());
@@ -78,29 +158,6 @@ raceEventDrivenImpl(const graph::Dag &dag,
                          ? queue.run()
                          : queue.runUntil(horizon);
     return outcome;
-}
-
-} // namespace
-
-RaceOutcome
-raceDag(const graph::Dag &dag, const std::vector<graph::NodeId> &sources,
-        RaceType type, sim::Tick horizon)
-{
-    checkRaceable(dag);
-    rl_assert(!sources.empty(), "race needs at least one source");
-    if (WavefrontRaceKernel::suitableFor(dag))
-        return WavefrontRaceKernel(dag).race(sources, type, horizon);
-    return raceEventDrivenImpl(dag, sources, type, horizon);
-}
-
-RaceOutcome
-raceDagEventDriven(const graph::Dag &dag,
-                   const std::vector<graph::NodeId> &sources,
-                   RaceType type, sim::Tick horizon)
-{
-    checkRaceable(dag);
-    rl_assert(!sources.empty(), "race needs at least one source");
-    return raceEventDrivenImpl(dag, sources, type, horizon);
 }
 
 bool

@@ -9,21 +9,21 @@
  *
  * Two execution backends are provided:
  *
- *  - raceDag(): a temporal simulation on the DAG itself.  Arrival
- *    events propagate in time order exactly as edges would in
- *    hardware; per-node firing times come out as a by-product (the
- *    "wavefront").  Graphs with bounded delays (all of them, in
- *    practice) run on the bucketed wavefront kernel
- *    (rl/core/wavefront.h -- Dial's algorithm, O(E + T), no heap and
- *    no per-event allocation); raceDagEventDriven() is the original
- *    heap-scheduled reference kernel, kept for equivalence testing
- *    and as the fallback for out-of-range delays.
+ *  - raceDag(): the race's outcome on the DAG itself.  A node's
+ *    firing time is the MIN (OR gate) or MAX (AND gate) of its
+ *    in-edge arrivals, so one push sweep in topological order fixes
+ *    every node before its out-edges are pushed -- O(V + E) for any
+ *    weights, no clock loop and no event queue.  Per-node firing
+ *    times (the "wavefront"), event counts and the horizon equal
+ *    what the hardware's clock-by-clock race produces;
+ *    raceDagEventDriven() is the heap-scheduled discrete-event
+ *    reference it is tested against (tests/core_wavefront_test.cc).
  *
  *  - compileRaceCircuit(): an actual gate-level netlist (OR/AND
  *    gates + DFF delay chains) runnable on circuit::CompiledSim (the
  *    engine's gate-level backend) or the reference circuit::SyncSim.
- *    This is the synthesizable artifact; the event backend and the
- *    DP oracle validate it.
+ *    This is the synthesizable artifact; the behavioral backend and
+ *    the DP oracle validate it.
  */
 
 #ifndef RACELOGIC_CORE_RACE_NETWORK_H
@@ -34,7 +34,7 @@
 #include "rl/circuit/netlist.h"
 #include "rl/core/temporal.h"
 #include "rl/graph/dag.h"
-#include "rl/sim/event_queue.h"
+#include "rl/sim/tick.h"
 
 namespace racelogic::core {
 
@@ -70,13 +70,17 @@ struct RaceOutcome {
 };
 
 /**
+ * Race-readiness bound on edit weights (2^16), checked on outside
+ * input: matrices at validation (api/validate.h) and pangenome plans
+ * (pangraph::checkCompilable), and the wire protocol's cap.  It
+ * bounds the DFF-chain length a gate-level fabric synthesizes per
+ * edge; raceDag() itself races any weight.
+ */
+constexpr graph::Weight kMaxRaceWeight = 1 << 16;
+
+/**
  * Race over `dag` injecting a rising edge at every node in `sources`
- * at tick 0.
- *
- * Dispatches to the bucketed wavefront kernel (rl/core/wavefront.h)
- * when the graph's delays fit its calendar, falling back to the
- * heap-scheduled event kernel otherwise; both produce identical
- * outcomes.
+ * at tick 0: one push sweep in topological order (Kahn's countdown).
  *
  * Requirements checked: the graph is acyclic and every edge weight
  * is >= 0 (Race Logic cannot realize negative delays; Section 5).
@@ -84,12 +88,17 @@ struct RaceOutcome {
  * in-edges have fired, so any node with an in-edge that cannot fire
  * stays at never(); callers comparing against a longest-path DP
  * should ensure all predecessors are reachable (see
- * andRaceMatchesDp()).
+ * andRaceMatchesDp()).  A source fires at tick 0 whatever else
+ * reaches it (the injected edge dominates).
+ *
+ * `events` counts the arrivals the race simulates (one per out-edge
+ * of a fired node that lands by the horizon), and `horizon` is the
+ * latest firing time -- both as raceDagEventDriven() reports them.
  *
  * @param horizon  Section 6 early termination: arrivals later than
- *                 this tick are never simulated, so nodes whose
- *                 signal would arrive past the horizon stay at
- *                 never().  Default races to full drain.
+ *                 this tick never happen, so nodes whose signal
+ *                 would arrive past the horizon stay at never().
+ *                 Default races to full drain.
  */
 RaceOutcome raceDag(const graph::Dag &dag,
                     const std::vector<graph::NodeId> &sources,
@@ -97,11 +106,10 @@ RaceOutcome raceDag(const graph::Dag &dag,
                     sim::Tick horizon = sim::kTickInfinity);
 
 /**
- * The original heap-scheduled reference kernel: one sim::EventQueue
- * callback per edge arrival.  Same semantics (and same outcome,
- * event counts included) as raceDag(); kept as the equivalence
- * reference for the wavefront kernel and as raceDag()'s fallback for
- * graphs whose delays exceed kMaxWavefrontWeight.
+ * The heap-scheduled reference kernel: one sim::EventQueue callback
+ * per edge arrival, in time order as the hardware clocks them.  Same
+ * semantics (and same outcome, event counts included) as raceDag();
+ * kept as the equivalence reference for it.
  */
 RaceOutcome raceDagEventDriven(const graph::Dag &dag,
                                const std::vector<graph::NodeId> &sources,

@@ -2,7 +2,7 @@
 
 #include <atomic>
 
-#include "rl/core/wavefront.h"
+#include "rl/core/race_network.h"
 #include "rl/util/logging.h"
 
 namespace racelogic::pangraph {
@@ -34,9 +34,9 @@ checkCompilable(const VariationGraph &graph, const bio::ScoreMatrix &race)
     // Plan-time weight validation the fused kernel relies on (its
     // per-read check is the cheap fingerprint equality): every finite
     // weight >= 1, gap weights finite (every character insertable or
-    // no walk connects the corners), and no weight past the cap the
-    // materialized reference's wavefront kernel and the wire share.
-    return race.validateRaceReady(core::kMaxWavefrontWeight,
+    // no walk connects the corners), and no weight past the
+    // race-readiness cap.
+    return race.validateRaceReady(core::kMaxRaceWeight,
                                   /*allowForbiddenPairs=*/true);
 }
 

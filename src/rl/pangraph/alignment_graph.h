@@ -10,9 +10,8 @@
  * prefix 0..m) x (character positions) is an edit DAG whose
  * shortest source-to-sink path is exactly the graph alignment
  * distance -- so it races on the same OR-gate/delay-chain fabric as
- * the pairwise edit graph (Section 3), and the bucketed wavefront
- * kernel (rl/core/wavefront.h) sweeps it through graph::Dag's CSR
- * view.
+ * the pairwise edit graph (Section 3), and core::raceDag() races
+ * it in one topological sweep.
  *
  * Two layers are split deliberately:
  *
@@ -101,7 +100,7 @@ struct CompiledGraph {
  * Compilability verdict for a (graph, race matrix) pair: the graph
  * must be raceable (VariationGraph::checkValid), the alphabets must
  * match, and the matrix must be race-ready under
- * core::kMaxWavefrontWeight (Cost kind, finite weights in [1, cap],
+ * core::kMaxRaceWeight (Cost kind, finite weights in [1, cap],
  * finite gaps).  The single rule book shared by compileGraph(),
  * GraphAligner construction, and api::RaceEngine plan validation.
  */

@@ -21,7 +21,7 @@
  * sweep -- one event per fired terminal, sink time their minimum.
  *
  * The outcome is bit-identical to building the product with
- * buildAlignmentGraph() and racing it on core::WavefrontRaceKernel
+ * buildAlignmentGraph() and racing it on core::raceDag()
  * (tests/pangraph_test.cc asserts it on randomized graphs); that
  * materialized path stays as the tested reference and the gate-level
  * synthesis input.
@@ -84,7 +84,7 @@ struct GraphAlignScratch : core::SweepScratch {};
  * race-ready cost matrix it was compiled with, with the weight rows
  * in the caller's scratch.  Bit-identical to racing
  * buildAlignmentGraph(compiled, read, costs) on
- * core::WavefrontRaceKernel with the same horizon: same arrival
+ * core::raceDag() with the same horizon: same arrival
  * vector, event count, sink score and Section 6 aborts (completed =
  * false, score kScoreInfinity, latencyCycles = horizon).
  *

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "rl/core/scratch_registry.h"
-#include "rl/core/wavefront.h"
+#include "rl/core/race_network.h"
 #include "rl/util/logging.h"
 
 namespace racelogic::pangraph {
@@ -57,7 +57,7 @@ GraphAligner::tryMake(std::shared_ptr<const VariationGraph> graph,
     }
 
     // Plan-time validation of the race-ready weights -- finite gaps,
-    // everything >= 1 and under core::kMaxWavefrontWeight -- lives in
+    // everything >= 1 and under core::kMaxRaceWeight -- lives in
     // checkCompilable(), the one place every racing path passes
     // through, so bad matrices fail here with a diagnostic instead of
     // deep inside a kernel.  (For similarity
@@ -120,12 +120,8 @@ GraphAligner::align(const bio::Sequence &read, sim::Tick horizon,
 GraphRaceResult
 GraphAligner::align(const AlignmentGraph &product, sim::Tick horizon) const
 {
-    // The product DAG is acyclic by construction and its weights are
-    // cost-matrix entries, so the bucketed wavefront kernel applies
-    // directly (no raceDag() revalidation sweep per read).
-    core::WavefrontRaceKernel kernel(product.dag);
-    core::RaceOutcome outcome =
-        kernel.race({product.source}, core::RaceType::Or, horizon);
+    core::RaceOutcome outcome = core::raceDag(
+        product.dag, {product.source}, core::RaceType::Or, horizon);
 
     GraphRaceResult result;
     result.nodes = product.dag.nodeCount();

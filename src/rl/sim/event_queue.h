@@ -5,14 +5,11 @@
  * Race Logic is fundamentally about *when* signals arrive, so the
  * natural simulation substrate is discrete-event.  The queue's one
  * user is the heap-scheduled reference race,
- * core::raceDagEventDriven(); the production kernels race on the
- * bucket calendar (rl/core/wavefront.h), and the gate-level
- * simulators (circuit::SyncSim, circuit::CompiledSim) step clock
- * cycles directly.
- *
- * Ticks are dimensionless; in synchronous Race Logic one tick is one
- * clock cycle, and the technology model (rl/tech) converts cycles to
- * nanoseconds per standard-cell library.
+ * core::raceDagEventDriven(); the production kernels sweep in
+ * topological or row order (core::raceDag, rl/core/dense_sweep.h),
+ * and the gate-level simulators (circuit::SyncSim,
+ * circuit::CompiledSim) step clock cycles directly.  The tick type
+ * lives in rl/sim/tick.h.
  */
 
 #ifndef RACELOGIC_SIM_EVENT_QUEUE_H
@@ -22,13 +19,9 @@
 #include <functional>
 #include <vector>
 
+#include "rl/sim/tick.h"
+
 namespace racelogic::sim {
-
-/** Simulation time in abstract ticks (clock cycles when synchronous). */
-using Tick = uint64_t;
-
-/** Sentinel for "never happens" / unreachable. */
-constexpr Tick kTickInfinity = ~Tick(0);
 
 /**
  * A priority queue of timestamped callbacks with deterministic

@@ -6,6 +6,9 @@
  * gate-level estimates are priced from the synthesized netlist.
  */
 
+#include <algorithm>
+#include <tuple>
+
 #include <gtest/gtest.h>
 
 #include "rl/api/api.h"
@@ -692,21 +695,180 @@ TEST(ApiEngine, EngineThresholdAppliesToPlainAlignment)
     EXPECT_EQ(r.score, 10); // score still exact outside screening
 }
 
-TEST(ApiEngine, CancelledSolveReturnsTypedAbort)
+// ----------------------------------- one solve contract, every kind
+
+/** A small instance of one problem kind and its DP-oracle score. */
+struct ContractInstance {
+    RaceProblem problem;
+    bio::Score oracle = 0;
+};
+
+/**
+ * `kind` on a small fixed input.  A finite `threshold` makes the
+ * screening kinds (ThresholdScreen, GraphAlign) a Section 6 screen.
+ */
+ContractInstance
+contractInstance(ProblemKind kind, bio::Score threshold)
 {
-    RaceEngine engine;
-    core::CancelToken token;
-    token.cancel();
-    RaceProblem problem = RaceProblem::pairwiseAlignment(
-        ScoreMatrix::dnaShortestPath(), dna("GATTACA"), dna("GCATGCT"));
-    problem.cancel = &token;
-    const RaceResult r = engine.solve(problem);
+    const ScoreMatrix costs = ScoreMatrix::dnaShortestPath();
+    switch (kind) {
+    case ProblemKind::PairwiseAlignment: {
+        Sequence a = dna("GATTACA"), b = dna("GCATGCT");
+        return {RaceProblem::pairwiseAlignment(costs, a, b),
+                bio::globalScore(a, b, costs)};
+    }
+    case ProblemKind::AffineAlignment: {
+        Sequence a = dna("ACTGAGA"), b = dna("AGA");
+        bio::AffineGapCosts gaps{3, 1};
+        return {RaceProblem::affineAlignment(costs, gaps, a, b),
+                bio::affineGlobalScore(a, b, costs, gaps)};
+    }
+    case ProblemKind::Dtw: {
+        std::vector<apps::Sample> x{3, 5, 8, 6, 2};
+        std::vector<apps::Sample> y{3, 6, 7, 2};
+        return {RaceProblem::dtw(x, y), apps::dtwDistance(x, y)};
+    }
+    case ProblemKind::DagPath: {
+        graph::Dag fig3 = graph::makeFig3ExampleDag();
+        auto dp = graph::solveDag(fig3, {0, 1},
+                                  graph::Objective::Shortest);
+        return {RaceProblem::dagPath(fig3, {0, 1}, 4,
+                                     graph::Objective::Shortest),
+                dp.distance[4]};
+    }
+    case ProblemKind::GeneralizedAlignment: {
+        ScoreMatrix pam = ScoreMatrix::pam250();
+        Sequence a = protein("MKVLA"), b = protein("MKPLA");
+        return {RaceProblem::generalizedAlignment(pam, a, b, 2),
+                bio::globalAlign(a, b, pam).score};
+    }
+    case ProblemKind::ThresholdScreen: {
+        Sequence a = dna("GATTACA"), b = dna("GCATGCT");
+        // A screen needs a finite threshold; 1000 accepts.
+        return {RaceProblem::thresholdScreen(
+                    costs,
+                    threshold == bio::kScoreInfinity ? 1000 : threshold,
+                    a, b),
+                bio::globalScore(a, b, costs)};
+    }
+    case ProblemKind::GraphAlign: {
+        util::Rng rng(21);
+        pangraph::VariationGraphParams params;
+        params.backboneSegments = 3;
+        params.maxLabel = 4;
+        auto graph = std::make_shared<pangraph::VariationGraph>(
+            pangraph::randomVariationGraph(rng, Alphabet::dna(), params));
+        Sequence read = pangraph::sampleRead(
+            rng, *graph, bio::MutationModel::uniform(0.2));
+        return {RaceProblem::graphAlign(costs, read, graph, threshold),
+                pangraph::graphAlignDp(*graph, read, costs).distance};
+    }
+    }
+    ADD_FAILURE() << "unknown problem kind";
+    return {};
+}
+
+void
+expectTypedAbort(const RaceResult &r)
+{
     EXPECT_TRUE(r.cancelled);
     EXPECT_FALSE(r.completed);
     EXPECT_FALSE(r.accepted);
     EXPECT_EQ(r.score, bio::kScoreInfinity);
     EXPECT_TRUE(r.nodeArrival.empty())
         << "a cancelled race must reveal no mapping detail";
+}
+
+class SolveContract
+    : public ::testing::TestWithParam<std::tuple<ProblemKind, BackendKind>>
+{};
+
+TEST_P(SolveContract, AcceptRejectAndCancelHoldOnEveryKind)
+{
+    const auto [kind, backend] = GetParam();
+    RaceEngine engine(configFor(backend));
+
+    // Accepted: the score is the DP oracle's.
+    const ContractInstance loose =
+        contractInstance(kind, bio::kScoreInfinity);
+    const RaceResult accepted = engine.solve(loose.problem);
+    EXPECT_TRUE(accepted.completed);
+    EXPECT_TRUE(accepted.accepted);
+    EXPECT_FALSE(accepted.cancelled);
+    EXPECT_EQ(accepted.score, loose.oracle);
+
+    // Rejected: a screen whose threshold sits one under the score
+    // reveals only that the score exceeds it.
+    if (kind == ProblemKind::ThresholdScreen ||
+        kind == ProblemKind::GraphAlign) {
+        ASSERT_GE(loose.oracle, 1);
+        const RaceResult rejected = engine.solve(
+            contractInstance(kind, loose.oracle - 1).problem);
+        EXPECT_FALSE(rejected.completed);
+        EXPECT_FALSE(rejected.accepted);
+        EXPECT_FALSE(rejected.cancelled);
+        EXPECT_EQ(rejected.score, bio::kScoreInfinity);
+        EXPECT_TRUE(rejected.nodeArrival.empty());
+    }
+
+    // Pre-cancelled: a typed abort, except where the race takes no
+    // token (DagPath races, and GraphAlign's gate-level product race).
+    core::CancelToken token;
+    token.cancel();
+    RaceProblem cancelled = loose.problem;
+    cancelled.cancel = &token;
+    const RaceResult r = engine.solve(cancelled);
+    const bool ignoresToken =
+        kind == ProblemKind::DagPath ||
+        (kind == ProblemKind::GraphAlign &&
+         backend == BackendKind::GateLevel);
+    if (ignoresToken) {
+        EXPECT_FALSE(r.cancelled);
+        EXPECT_EQ(r.score, loose.oracle);
+    } else {
+        expectTypedAbort(r);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ApiEngine, SolveContract,
+    ::testing::Combine(
+        ::testing::Values(ProblemKind::PairwiseAlignment,
+                          ProblemKind::AffineAlignment, ProblemKind::Dtw,
+                          ProblemKind::DagPath,
+                          ProblemKind::GeneralizedAlignment,
+                          ProblemKind::ThresholdScreen,
+                          ProblemKind::GraphAlign),
+        ::testing::Values(BackendKind::Behavioral,
+                          BackendKind::GateLevel)),
+    [](const auto &info) {
+        std::string name =
+            std::string(api::problemKindName(std::get<0>(info.param))) +
+            "_" + api::backendKindName(std::get<1>(info.param));
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name;
+    });
+
+TEST(ApiEngine, GateLevelBatchReturnsTypedAbortForCancelledLanes)
+{
+    const ScoreMatrix costs = ScoreMatrix::dnaShortestPath();
+    core::CancelToken token;
+    token.cancel();
+    std::vector<RaceProblem> problems;
+    for (const char *b : {"GCATGCT", "GATTACA", "ACGTACG"})
+        problems.push_back(
+            RaceProblem::pairwiseAlignment(costs, dna("GATTACA"), dna(b)));
+    problems[0].cancel = &token;
+    problems[2].cancel = &token;
+
+    RaceEngine engine(configFor(BackendKind::GateLevel));
+    const api::BatchOutcome batch = engine.solveBatch(problems);
+    ASSERT_EQ(batch.results.size(), 3u);
+    expectTypedAbort(batch.results[0]);
+    expectTypedAbort(batch.results[2]);
+    EXPECT_FALSE(batch.results[1].cancelled);
+    EXPECT_EQ(batch.results[1].score,
+              bio::globalScore(dna("GATTACA"), dna("GATTACA"), costs));
 }
 
 TEST(ApiEngine, UncancelledTokenLeavesTheSolveBitIdentical)

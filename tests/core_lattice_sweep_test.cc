@@ -94,8 +94,8 @@ TEST(LatticeSweep, DtwMatchesMaterializedLatticeRaceExactly)
     util::Rng rng(6100);
     RaceEngine engine;
     // Span 0 makes every edge a zero-weight wire; 2^20 puts sample
-    // distances past kMaxWavefrontWeight, where raceDag() falls back
-    // to the heap event kernel.
+    // distances past kMaxRaceWeight, the validation cap raceDag()
+    // itself does not need.
     const int64_t spans[] = {0, 3, 1000, int64_t(1) << 20};
     for (int trial = 0; trial < 160; ++trial) {
         const int64_t span = spans[trial % 4];
@@ -148,7 +148,7 @@ TEST(LatticeSweep, AffineMatchesMaterializedLatticeRaceExactly)
             break;
         }
         case 3: {
-            // Pair and gap weights past kMaxWavefrontWeight.
+            // Pair and gap weights past kMaxRaceWeight.
             for (bio::Symbol s = 0; s < 4; ++s)
                 for (bio::Symbol t = 0; t < 4; ++t)
                     costs.setPair(s, t,

@@ -16,7 +16,6 @@
 #include "rl/core/kernel_counters.h"
 #include "rl/core/race_grid.h"
 #include "rl/core/race_network.h"
-#include "rl/core/wavefront.h"
 #include "rl/util/random.h"
 
 namespace {

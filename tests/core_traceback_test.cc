@@ -1,7 +1,7 @@
 /**
  * @file
  * Direct tests for core::tracebackFromRace driven from
- * wavefront-kernel arrival grids (previously exercised only
+ * race-kernel arrival grids (previously exercised only
  * indirectly through examples).  The firing-time table of a race is
  * a valid DP table, so walking tight edges must reproduce
  * bio::globalAlign exactly -- same score, same path, same rendered
@@ -16,7 +16,6 @@
 #include "rl/bio/align_dp.h"
 #include "rl/core/race_grid.h"
 #include "rl/core/traceback.h"
-#include "rl/core/wavefront.h"
 #include "rl/util/random.h"
 
 namespace {

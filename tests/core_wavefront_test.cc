@@ -1,9 +1,10 @@
 /**
  * @file
- * Equivalence suite for the bucketed wavefront race kernel: the new
- * kernel, the heap-scheduled event-queue reference, and the DP oracle
- * must agree node-for-node on randomized DAGs and sequences -- Or and
- * And races, with and without an early-termination horizon -- and the
+ * Equivalence suite for the race kernels: core::raceDag's
+ * topological sweep, the heap-scheduled event-queue reference, and
+ * the DP oracle must agree node-for-node on randomized DAGs and
+ * sequences -- Or and And races, with and without an
+ * early-termination horizon, events and horizon included -- and the
  * dense-sweep grid kernel must reproduce the materialized edit-graph
  * race exactly (arrival grids and event counts included).
  */
@@ -16,9 +17,9 @@
 #include "rl/core/kernel_counters.h"
 #include "rl/core/race_grid.h"
 #include "rl/core/race_network.h"
-#include "rl/core/wavefront.h"
 #include "rl/graph/generate.h"
 #include "rl/graph/paths.h"
+#include "rl/graph/topo.h"
 #include "rl/util/random.h"
 #include "rl/util/thread_pool.h"
 
@@ -30,48 +31,11 @@ using bio::ScoreMatrix;
 using bio::Sequence;
 using core::RaceOutcome;
 using core::RaceType;
-using core::WavefrontRaceKernel;
 using graph::Dag;
 using graph::NodeId;
 using graph::Objective;
 
-// ------------------------------------------------------------ CSR view
-
-TEST(CsrView, MatchesAdjacencyOrder)
-{
-    Dag d(4);
-    d.addEdge(2, 0, 7);
-    d.addEdge(2, 3, 1);
-    d.addEdge(0, 3, 2);
-    d.addEdge(2, 1, 5);
-
-    graph::CsrOutEdges csr = d.outEdgesCsr();
-    ASSERT_EQ(csr.nodeCount(), 4u);
-    ASSERT_EQ(csr.edgeCount(), 4u);
-    // Node 2's edges keep insertion order 0, 3, 1.
-    EXPECT_EQ(csr.offsets[2], 1u);
-    EXPECT_EQ(csr.offsets[3], 4u);
-    EXPECT_EQ(csr.to[1], 0u);
-    EXPECT_EQ(csr.to[2], 3u);
-    EXPECT_EQ(csr.to[3], 1u);
-    EXPECT_EQ(csr.weight[1], 7);
-    EXPECT_EQ(csr.weight[3], 5);
-    // Node 1 has no out-edges: empty range.
-    EXPECT_EQ(csr.offsets[1], 1u);
-
-    // The generic order check across every node.
-    for (NodeId v = 0; v < d.nodeCount(); ++v) {
-        const auto &adj = d.outEdges(v);
-        ASSERT_EQ(csr.offsets[v + 1] - csr.offsets[v], adj.size());
-        for (size_t k = 0; k < adj.size(); ++k) {
-            const graph::Edge &e = d.edges()[adj[k]];
-            EXPECT_EQ(csr.to[csr.offsets[v] + k], e.to);
-            EXPECT_EQ(csr.weight[csr.offsets[v] + k], e.weight);
-        }
-    }
-}
-
-// ----------------------------------- kernel vs event queue vs oracle
+// --------------------------- raceDag vs event queue vs oracle
 
 void
 expectSameOutcome(const RaceOutcome &got, const RaceOutcome &want)
@@ -83,9 +47,9 @@ expectSameOutcome(const RaceOutcome &got, const RaceOutcome &want)
     EXPECT_EQ(got.horizon, want.horizon);
 }
 
-class WavefrontVsReference : public ::testing::TestWithParam<int> {};
+class RaceDagVsReference : public ::testing::TestWithParam<int> {};
 
-TEST_P(WavefrontVsReference, OrRaceMatchesEventQueueAndDp)
+TEST_P(RaceDagVsReference, OrRaceMatchesEventQueueAndDp)
 {
     util::Rng rng(3100 + GetParam());
     // Zero weights included: wire edges must propagate same-tick.
@@ -93,74 +57,103 @@ TEST_P(WavefrontVsReference, OrRaceMatchesEventQueueAndDp)
     auto [source, sink] = graph::addSuperEndpoints(d, 1);
     (void)sink;
 
-    RaceOutcome kernel =
-        WavefrontRaceKernel(d).race({source}, RaceType::Or);
+    RaceOutcome swept = core::raceDag(d, {source}, RaceType::Or);
     RaceOutcome reference =
         core::raceDagEventDriven(d, {source}, RaceType::Or);
-    expectSameOutcome(kernel, reference);
+    expectSameOutcome(swept, reference);
 
     auto dp = graph::solveDag(d, {source}, Objective::Shortest);
     for (NodeId n = 0; n < d.nodeCount(); ++n) {
         if (dp.reached(n))
-            EXPECT_EQ(kernel.at(n).time(),
+            EXPECT_EQ(swept.at(n).time(),
                       static_cast<sim::Tick>(dp.distance[n]));
         else
-            EXPECT_FALSE(kernel.at(n).fired());
+            EXPECT_FALSE(swept.at(n).fired());
     }
 }
 
-TEST_P(WavefrontVsReference, AndRaceMatchesEventQueueAndDp)
+TEST_P(RaceDagVsReference, AndRaceMatchesEventQueueAndDp)
 {
     util::Rng rng(3500 + GetParam());
     Dag d = graph::layeredDag(rng, 6, 5, 0.5, {1, 9});
     std::vector<NodeId> sources{0, 1, 2, 3, 4};
     ASSERT_TRUE(core::andRaceMatchesDp(d, sources));
 
-    RaceOutcome kernel =
-        WavefrontRaceKernel(d).race(sources, RaceType::And);
+    RaceOutcome swept = core::raceDag(d, sources, RaceType::And);
     RaceOutcome reference =
         core::raceDagEventDriven(d, sources, RaceType::And);
-    expectSameOutcome(kernel, reference);
+    expectSameOutcome(swept, reference);
 
     auto dp = graph::solveDag(d, sources, Objective::Longest);
-    for (NodeId n = 0; n < d.nodeCount(); ++n)
-        if (dp.reached(n))
-            EXPECT_EQ(kernel.at(n).time(),
+    for (NodeId n = 0; n < d.nodeCount(); ++n) {
+        if (dp.reached(n)) {
+            EXPECT_EQ(swept.at(n).time(),
                       static_cast<sim::Tick>(dp.distance[n]));
+        }
+    }
 }
 
-TEST_P(WavefrontVsReference, HorizonTruncatesIdenticallyOnBothKernels)
+TEST_P(RaceDagVsReference, HorizonTruncatesIdenticallyOnBothKernels)
 {
     util::Rng rng(3900 + GetParam());
     Dag d = graph::randomDag(rng, 40, 0.2, {1, 6});
     auto [source, sink] = graph::addSuperEndpoints(d, 1);
     (void)sink;
 
-    RaceOutcome full =
-        WavefrontRaceKernel(d).race({source}, RaceType::Or);
+    RaceOutcome full = core::raceDag(d, {source}, RaceType::Or);
     for (sim::Tick horizon : {sim::Tick(0), sim::Tick(3), full.horizon}) {
-        RaceOutcome kernel =
-            WavefrontRaceKernel(d).race({source}, RaceType::Or, horizon);
+        RaceOutcome swept =
+            core::raceDag(d, {source}, RaceType::Or, horizon);
         RaceOutcome reference = core::raceDagEventDriven(
             d, {source}, RaceType::Or, horizon);
-        expectSameOutcome(kernel, reference);
+        expectSameOutcome(swept, reference);
         // A node fires under the horizon iff its full-race arrival is
         // within it (arrival times are monotone in simulated time).
         for (NodeId n = 0; n < d.nodeCount(); ++n) {
             if (full.at(n).fired() && full.at(n).time() <= horizon) {
-                ASSERT_TRUE(kernel.at(n).fired()) << "node " << n;
-                EXPECT_EQ(kernel.at(n).time(), full.at(n).time());
+                ASSERT_TRUE(swept.at(n).fired()) << "node " << n;
+                EXPECT_EQ(swept.at(n).time(), full.at(n).time());
             } else {
-                EXPECT_FALSE(kernel.at(n).fired()) << "node " << n;
+                EXPECT_FALSE(swept.at(n).fired()) << "node " << n;
             }
         }
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, WavefrontVsReference,
+TEST_P(RaceDagVsReference, AnySourceSetTypeAndHorizonMatchesEventQueue)
+{
+    // Sources drawn from anywhere -- with in-edges, duplicated --
+    // over zero weights and the odd 200,000-cycle delay, both gate
+    // families, finite and infinite horizons.
+    util::Rng rng(4100 + GetParam());
+    Dag d = graph::randomDag(rng, 30, 0.2, {0, 5});
+    const std::vector<NodeId> order = graph::topologicalOrder(d);
+    d.addEdge(order.front(), order.back(), 200000);
+    std::vector<NodeId> sources;
+    for (int k = 0; k < 3; ++k)
+        sources.push_back(static_cast<NodeId>(rng.index(d.nodeCount())));
+    sources.push_back(sources.front());
+
+    for (RaceType type : {RaceType::Or, RaceType::And}) {
+        const sim::Tick full =
+            core::raceDagEventDriven(d, sources, type).horizon;
+        for (sim::Tick horizon :
+             {sim::Tick(0), sim::Tick(rng.index(full + 1)), full,
+              sim::Tick(199999), sim::kTickInfinity}) {
+            SCOPED_TRACE(testing::Message()
+                         << (type == RaceType::Or ? "or" : "and")
+                         << " horizon " << horizon);
+            expectSameOutcome(
+                core::raceDag(d, sources, type, horizon),
+                core::raceDagEventDriven(d, sources, type, horizon));
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RaceDagVsReference,
                          ::testing::Range(0, 15));
 
-TEST(Wavefront, RaceDagDispatchesAndAgreesOnFig3)
+TEST(Wavefront, RaceDagAgreesOnFig3)
 {
     Dag d = graph::makeFig3ExampleDag();
     RaceOutcome out = core::raceDag(d, {0, 1}, RaceType::Or);
@@ -170,17 +163,18 @@ TEST(Wavefront, RaceDagDispatchesAndAgreesOnFig3)
     EXPECT_EQ(longest.at(4).time(), 4u);
 }
 
-TEST(Wavefront, OversizedWeightsFallBackToEventKernel)
+TEST(Wavefront, OversizedWeightsRaceLikeTheEventKernel)
 {
-    // One delay above the calendar bound: raceDag must still answer
-    // (via the heap kernel) and agree with the DP.
+    // Delays past kMaxRaceWeight -- the validation cap on outside
+    // input -- still race, and agree with the DP and the reference.
     Dag d(3);
-    d.addEdge(0, 1, core::kMaxWavefrontWeight + 5);
+    d.addEdge(0, 1, core::kMaxRaceWeight + 5);
     d.addEdge(1, 2, 2);
-    EXPECT_FALSE(WavefrontRaceKernel::suitableFor(d));
     RaceOutcome out = core::raceDag(d, {0}, RaceType::Or);
     EXPECT_EQ(out.at(2).time(),
-              static_cast<sim::Tick>(core::kMaxWavefrontWeight + 7));
+              static_cast<sim::Tick>(core::kMaxRaceWeight + 7));
+    expectSameOutcome(out,
+                      core::raceDagEventDriven(d, {0}, RaceType::Or));
 }
 
 // --------------------------------------------- grid-direct kernel

@@ -17,7 +17,7 @@
 #include "rl/bio/align_dp.h"
 #include "rl/core/cancel.h"
 #include "rl/core/kernel_counters.h"
-#include "rl/core/wavefront.h"
+#include "rl/core/race_network.h"
 #include "rl/pangraph/generate.h"
 #include "rl/pangraph/gfa.h"
 #include "rl/pangraph/graph_align_dp.h"
@@ -409,7 +409,7 @@ TEST(GraphAlign, HorizonAbortMatchesFullRaceVerdict)
 TEST(GraphAlign, RejectsUnraceableWeightsAtPlanTimeTyped)
 {
     // Bad matrices must fail in the GraphAligner factory with a
-    // typed diagnostic, not deep inside the wavefront kernel.
+    // typed diagnostic, not deep inside a race kernel.
     auto graph = sampleGraph();
     ScoreMatrix infGap = ScoreMatrix::dnaShortestPath();
     infGap.setGap(Alphabet::dna().encode('A'), bio::kScoreInfinity);
@@ -421,7 +421,7 @@ TEST(GraphAlign, RejectsUnraceableWeightsAtPlanTimeTyped)
 
     ScoreMatrix huge = ScoreMatrix::uniform(
         Alphabet::dna(), bio::ScoreKind::Cost,
-        core::kMaxWavefrontWeight + 1);
+        core::kMaxRaceWeight + 1);
     auto overCap = GraphAligner::tryMake(graph, huge);
     ASSERT_FALSE(overCap.ok());
     EXPECT_EQ(overCap.status().code(), ErrorCode::InvalidArgument);
@@ -464,7 +464,7 @@ TEST(GraphAlign, CompileGraphValidatesWeightsForDirectCallersTyped)
 
     ScoreMatrix huge = ScoreMatrix::uniform(
         Alphabet::dna(), bio::ScoreKind::Cost,
-        core::kMaxWavefrontWeight + 1);
+        core::kMaxRaceWeight + 1);
     auto overCap = pangraph::tryCompileGraph(*graph, huge);
     ASSERT_FALSE(overCap.ok());
     EXPECT_EQ(overCap.status().code(), ErrorCode::InvalidArgument);
